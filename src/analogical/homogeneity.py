@@ -20,11 +20,11 @@ approximation of it.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
-from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .core import (
     contained_exemplars,
     difference_vector,
     iter_masks,
+    mask_at,
     subcontext_key,
 )
 
@@ -85,10 +86,11 @@ class AnalogicalSet:
     ``outcome_counts`` maps each outcome label (dataset first-appearance
     order) to the number of surviving pointers targeting it;
     ``total_pointers`` is their sum, equal to the sum of k^2 over the
-    homogeneous supracontexts.
+    homogeneous supracontexts.  ``verdicts`` holds one verdict per mask in
+    :func:`iter_masks` order; the fast engine builds each one when read.
     """
 
-    verdicts: tuple[SupracontextVerdict, ...]
+    verdicts: Sequence[SupracontextVerdict]
     outcome_counts: dict[str, int]
     total_pointers: int
 
@@ -112,10 +114,6 @@ class OutcomeDistribution:
 
 def _difference_ints(ds: Dataset, given: Sequence[str]) -> list[int]:
     return [bits_to_int(difference_vector(e.context, given)) for e in ds.exemplars]
-
-
-def _members(d_ints: Sequence[int], mask_int: int) -> tuple[int, ...]:
-    return tuple(j for j, d in enumerate(d_ints, 1) if d & mask_int == 0)
 
 
 def pointer_heterogeneity_matrix(ds: Dataset, given: Sequence[str]) -> np.ndarray:
@@ -194,36 +192,100 @@ def analogical_set(
 ) -> AnalogicalSet:
     """Evaluate every supracontext and collect the surviving pointers.
 
-    One verdict per mask (most specific first); homogeneous supracontexts
-    contribute k pointers to the outcome of each member, k^2 in total.
+    Mask M holds exemplar j exactly when its difference vector d_j is a
+    subset of c = NOT M.  Per-outcome exemplar counts and a 0/1 "this
+    subcontext occurs" indicator are bucketed by d, and Yates' fast zeta
+    transform turns the buckets into subset sums over every c at once:
+    N_o(c) members with outcome o and S(c) distinct subcontexts.  By the
+    plurality rule c is homogeneous iff S(c) <= 1 or a single outcome holds
+    all k(c) = sum_o N_o(c) members; homogeneous supracontexts contribute
+    k * N_o pointers to outcome o, k^2 in total.  The cost is
+    O((outcomes + 1) * n * 2^n) time and about (outcomes + 2) * 8 * 2^n
+    bytes, independent of m after bucketing.
+
+    ``verdicts`` lists one verdict per mask, most specific first; each is
+    built only when read.
     """
     check_lattice_size(ds.n, n_cap)
+    order = ds.outcome_order
+    outcome_index = {o: i for i, o in enumerate(order)}
     d_ints = _difference_ints(ds, given)
-    p2 = pointer_heterogeneity_matrix(ds, given)
-    outcomes = [e.outcome for e in ds.exemplars]
 
-    counts: dict[str, int] = {o: 0 for o in ds.outcome_order}
-    total = 0
-    verdicts = []
-    for mask in iter_masks(ds.n):
-        members = _members(d_ints, bits_to_int(mask))
-        homogeneous = _pointer_scan(members, p2)
-        member_outcomes = tuple(outcomes[j - 1] for j in members)
-        verdicts.append(
-            SupracontextVerdict(
-                mask=mask,
-                members=members,
-                member_outcomes=member_outcomes,
-                homogeneous=homogeneous,
-                m=ds.m,
-            )
+    size = 1 << ds.n
+    sums = np.zeros((len(order) + 1, size), dtype=np.int64)
+    np.add.at(sums, ([outcome_index[e.outcome] for e in ds.exemplars], d_ints), 1)
+    sums[-1, d_ints] = 1
+    for bit in range(ds.n):
+        halves = sums.reshape(len(order) + 1, -1, 2, 1 << bit)
+        halves[:, :, 1, :] += halves[:, :, 0, :]
+
+    per_outcome, subcontexts = sums[:-1], sums[-1]
+    homogeneous = subcontexts <= 1
+    # S(c) is no longer needed: its row takes max_o N_o(c), saving 8 * 2^n bytes
+    top = np.max(per_outcome, axis=0, out=subcontexts)
+    k = per_outcome.sum(axis=0)
+    homogeneous |= top == k
+    k[~homogeneous] = 0
+    counts, total = _pointer_sums(k, per_outcome, ds.m)
+    return AnalogicalSet(
+        verdicts=_LatticeVerdicts(ds, d_ints, homogeneous),
+        outcome_counts=dict(zip(order, counts)),
+        total_pointers=total,
+    )
+
+
+def _pointer_sums(k: np.ndarray, per_outcome: np.ndarray, max_k: int) -> tuple[list[int], int]:
+    """``sum(k * row)`` for each row of ``per_outcome``, and ``sum(k * k)``.
+
+    Every entry is at most ``max_k``, so each sum is below max_k^2 * len(k);
+    int64 is used only when that bound is below 2^63, and Python ints
+    otherwise, so the sums never wrap.
+    """
+    if max_k * max_k * len(k) >= 1 << 63:
+        k, per_outcome = k.astype(object), per_outcome.astype(object)
+    return [int(row @ k) for row in per_outcome], int(k @ k)
+
+
+class _LatticeVerdicts(Sequence):
+    """Per-mask verdicts in :func:`iter_masks` order, each built on access.
+
+    Holds the dataset, its difference-vector ints and the homogeneity flags
+    indexed by c = NOT mask; no verdict is cached.
+    """
+
+    def __init__(self, ds: Dataset, d_ints: list[int], homogeneous: np.ndarray):
+        self._ds = ds
+        self._d_ints = d_ints
+        self._homogeneous = homogeneous
+
+    def __len__(self) -> int:
+        return 1 << self._ds.n
+
+    def __iter__(self) -> Iterator[SupracontextVerdict]:
+        return map(self._verdict, iter_masks(self._ds.n))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        if index < 0:
+            index += len(self)
+        return self._verdict(mask_at(self._ds.n, index))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def _verdict(self, mask: Bits) -> SupracontextVerdict:
+        mask_int = bits_to_int(mask)
+        members = tuple(j for j, d in enumerate(self._d_ints, 1) if d & mask_int == 0)
+        return SupracontextVerdict(
+            mask=mask,
+            members=members,
+            member_outcomes=tuple(self._ds.exemplars[j - 1].outcome for j in members),
+            homogeneous=bool(self._homogeneous[(len(self) - 1) ^ mask_int]),
+            m=self._ds.m,
         )
-        if homogeneous and members:
-            k = len(members)
-            total += k * k
-            for o in member_outcomes:
-                counts[o] += k
-    return AnalogicalSet(verdicts=tuple(verdicts), outcome_counts=counts, total_pointers=total)
 
 
 def predict_distribution(aset: AnalogicalSet) -> OutcomeDistribution:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Rational
 
 import numpy as np
 
@@ -30,13 +31,21 @@ class InvalidDistributionError(ValueError):
 
 
 def _validated(probabilities: dict) -> dict:
+    """Check that every p lies in [0, 1] and that they sum to 1.
+
+    Exact inputs (all Fraction or int) are checked exactly; any float input
+    allows ``_SUM_TOL`` of rounding.  No value is converted to float before
+    it has passed, so huge exact values cannot overflow.
+    """
     if not probabilities:
         raise InvalidDistributionError("distribution has no outcomes")
+    exact = all(isinstance(p, Rational) for p in probabilities.values())
+    tolerance = 0 if exact else _SUM_TOL
     for label, p in probabilities.items():
-        if p < 0:
-            raise InvalidDistributionError(f"negative probability for {label!r}: {p}")
+        if not 0 <= p <= 1 + tolerance:
+            raise InvalidDistributionError(f"probability for {label!r} is outside [0, 1]")
     total = sum(probabilities.values())
-    if abs(float(total) - 1.0) > _SUM_TOL:
+    if not abs(total - 1) <= tolerance:
         raise InvalidDistributionError(f"probabilities sum to {float(total)!r}, not 1")
     return probabilities
 

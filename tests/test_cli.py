@@ -293,6 +293,15 @@ def test_measures_bad_sum(capsys):
     assert code == cli.EXIT_FORMAT
 
 
+def test_measures_exact_inputs_validated_exactly(capsys):
+    # 1e400 is out of range; the second pair sums to 1 + 10^-13
+    for argv in (["x:1e400"], ["x:1/2", "y:5000000000001/10000000000000"]):
+        code, out, err = run_cli(capsys, "measures", *argv)
+        assert code == cli.EXIT_FORMAT, argv
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 # --- exit codes --------------------------------------------------------------------
 
 def test_exit_code_missing_file(capsys):
@@ -310,6 +319,15 @@ def test_exit_code_malformed_dataset(tmp_path, capsys):
         capsys, "predict", "--dataset", str(path), "--given", "a b"
     )
     assert code == cli.EXIT_FORMAT
+
+
+def test_exit_code_dataset_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"y\t\xff\xfe a\n")
+    code, out, err = run_cli(capsys, "predict", "--dataset", str(path), "--given", "a")
+    assert code == cli.EXIT_FORMAT
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_exit_code_given_mismatch(worked_path, capsys):

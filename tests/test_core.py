@@ -22,6 +22,7 @@ from analogical import (
     str_to_bits,
     subcontext_key,
 )
+from analogical.core import mask_at
 from helpers import EXPECTED_D
 
 
@@ -153,6 +154,14 @@ def test_iter_masks_count_and_sort_key(n):
     assert len(set(masks)) == 2 ** n
     keys = [(-sum(mask), -bits_to_int(mask)) for mask in masks]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 6])
+def test_mask_at_matches_iter_masks(n):
+    assert [mask_at(n, i) for i in range(2 ** n)] == list(iter_masks(n))
+    for bad in (-1, 2 ** n):
+        with pytest.raises(IndexError):
+            mask_at(n, bad)
 
 
 @hgiven(st.integers(min_value=1, max_value=16).flatmap(

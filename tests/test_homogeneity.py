@@ -26,6 +26,7 @@ from analogical import (
     sample_outcome,
     two_step_distribution,
 )
+from analogical.homogeneity import _pointer_sums
 from helpers import (
     EXPECTED_COUNTS,
     EXPECTED_HOMOGENEOUS,
@@ -204,6 +205,83 @@ def test_one_step_equals_two_step():
         ds, given = random_instance(rng)
         aset = analogical_set(ds, given)
         assert predict_distribution(aset).probabilities == two_step_distribution(aset).probabilities
+
+
+# --- the subset-sum engine against the per-mask oracles ---------------------
+
+def _oracle_instances(rng: random.Random, count: int):
+    """Random instances up to n=6 and 3 outcomes, each with a duplicated
+    exemplar, plus single-exemplar datasets."""
+    for _ in range(count):
+        ds, given = random_instance(rng, max_m=10, max_n=6)
+        pairs = [(e.context, e.outcome) for e in ds.exemplars]
+        yield Dataset.from_pairs(pairs + [rng.choice(pairs)]), given
+        yield Dataset.from_pairs(pairs[:1]), given
+
+
+def test_lazy_verdicts_match_per_mask_oracles():
+    rng = random.Random(2007)
+    for ds, given in _oracle_instances(rng, 60):
+        aset = analogical_set(ds, given)
+        verdicts = list(aset.verdicts)
+        assert [v.mask for v in verdicts] == list(iter_masks(ds.n))
+        counts = {o: 0 for o in ds.outcome_order}
+        total = 0
+        for i, v in enumerate(verdicts):
+            members = contained_exemplars(ds, given, v.mask)
+            assert v.members == members
+            assert v.member_outcomes == tuple(ds.exemplars[j - 1].outcome for j in members)
+            assert v.homogeneous == is_homogeneous_pointer(ds, given, v.mask)
+            assert aset.verdicts[i] == v == aset.verdicts[i - len(verdicts)]
+            if v.homogeneous:
+                total += v.k * v.k
+                for o in v.member_outcomes:
+                    counts[o] += v.k
+        assert aset.outcome_counts == counts
+        assert aset.total_pointers == total
+        assert aset.verdicts == tuple(verdicts)
+
+
+def test_lazy_verdicts_sequence_protocol(worked):
+    ds, given = worked
+    verdicts = analogical_set(ds, given).verdicts
+    assert len(verdicts) == 8
+    assert [bits_to_str(v.mask) for v in verdicts[1:3]] == ["110", "101"]
+    assert bits_to_str(verdicts[-1].mask) == "000"
+    with pytest.raises(IndexError):
+        verdicts[8]
+    with pytest.raises(IndexError):
+        verdicts[-9]
+
+
+def test_wide_lattice_without_the_walk():
+    # n=20: 2^20 supracontexts, beyond what a per-mask walk finishes quickly
+    rng = random.Random(20)
+    ds = Dataset.from_pairs(
+        [(tuple(rng.choice("ab") for _ in range(20)), rng.choice("xy")) for _ in range(20)]
+    )
+    given = tuple(rng.choice("ab") for _ in range(20))
+    aset = analogical_set(ds, given)
+    assert aset.total_pointers >= 1
+    assert sum(aset.outcome_counts.values()) == aset.total_pointers
+    assert len(aset.verdicts) == 1 << 20
+    for i in (0, 12345, -1):
+        v = aset.verdicts[i]
+        assert v.members == contained_exemplars(ds, given, v.mask)
+
+
+def test_pointer_sums_exact_past_int64():
+    # k^2 of one supracontext alone exceeds 2^63, so an int64 dot would wrap
+    big = 3_040_000_000
+    k = np.array([big, 1], dtype=np.int64)
+    per_outcome = np.array([[big, 0], [0, 1]], dtype=np.int64)
+    assert int(k @ k) != big * big + 1
+    assert _pointer_sums(k, per_outcome, big) == ([big * big, 1], big * big + 1)
+    # below the bound the int64 path gives the same sums
+    assert _pointer_sums(k // 1000, per_outcome // 1000, big // 1000) == (
+        [(big // 1000) ** 2, 0],
+        (big // 1000) ** 2,
+    )
 
 
 # --- distribution mechanics -----------------------------------------------------

@@ -97,6 +97,23 @@ def test_validation_errors():
         disagreement({"a": 0.6, "b": 0.6})
 
 
+def test_exact_inputs_validated_exactly():
+    near_one = {"a": Fraction(1, 2), "b": Fraction(5000000000001, 10000000000000)}
+    with pytest.raises(InvalidDistributionError):
+        agreement(near_one)
+    with pytest.raises(InvalidDistributionError):
+        entropy({"a": Fraction("1e400")})
+    with pytest.raises(InvalidDistributionError):
+        entropy({"a": Fraction(3, 2), "b": Fraction(-1, 2)})
+    assert agreement({"a": Fraction(1, 3), "b": 0, "c": Fraction(2, 3)}) == Fraction(5, 9)
+
+
+def test_float_inputs_keep_tolerance():
+    assert abs(entropy({"a": 0.1 + 0.2, "b": 0.7}) - entropy({"a": 0.3, "b": 0.7})) < 1e-12
+    with pytest.raises(InvalidDistributionError):
+        entropy({"a": float("nan"), "b": 1.0})
+
+
 # --- densities -----------------------------------------------------------------
 
 def triangular_density(points: int = 10001) -> TabulatedDensity:
