@@ -1,18 +1,26 @@
 """Reversible-gate engine over classical bit registers.
 
 This engine reproduces the pointer-counting prediction with nothing but
-reversible gates (NOT, CNOT, Toffoli) acting on registers whose bits are
-strictly 0 or 1.  Pair arrays V2 (subcontext difference), W2 (outcome
-difference), and P2 (both differ) are built once; then, for every
-supracontext mask, the circuit builds the containment array C2, the
-heterogeneity array H2, scans the negated H2 for zeros to decide
-homogeneity, conditionally copies C2 into the analogy array A2, and
-uncomputes every scratch register back to its preset.
+reversible gates (NOT, CNOT, Toffoli) acting on registers of classical
+bits.  Pair arrays V2 (subcontext difference), W2 (outcome difference),
+and P2 (both differ) are built once; then, for every supracontext mask,
+the circuit builds the containment array C2, the heterogeneity array H2,
+scans the negated H2 for zeros to decide homogeneity, conditionally
+copies C2 into the analogy array A2, and uncomputes every scratch
+register back to its preset.
 
 Each per-mask circuit applies the identical operator sequence from
 beginning to end: the homogeneity scan never exits early, because a
 heterogeneous supracontext must run the same gates as a homogeneous one.
-Masks are evaluated one at a time; results are independent of the order.
+Since no gate depends on the data, all 2^n per-mask circuits run as one
+bit-sliced circuit.  Every per-mask register bit is a Python int holding
+one bit per mask (a "lane"), and each gate acts on all lanes at once:
+NOT is ``x ^= ALL``, CNOT ``t ^= c`` and Toffoli ``t ^= a & b``, where
+ALL = 2^L - 1 for L lanes.  Registers shared by every mask (D, V2, W2,
+P2) are broadcast to 0 or ALL.  The gate sequence, and so every per-mask
+gate count, is the one a single mask would run.  With a :class:`GateTrace`
+attached the masks run one at a time on a single lane, so every recorded
+step acts on plain 0/1 bits; results do not depend on the lane width.
 
 Matrix registers are kept flat in row-major order: entry (j, j') of an
 m x m array lives at position k = (j - 1) * m + j', with j, j' and k
@@ -25,6 +33,7 @@ inverse.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -45,27 +54,14 @@ from .homogeneity import AnalogicalSet, SupracontextVerdict
 _fresh = itertools.count()
 
 
-class BitRegister:
-    """A named, fixed-length register of classical bits (strictly 0 or 1)."""
+class _Lanes:
+    """A named register of lane words: bit l of every word belongs to lane l."""
 
     __slots__ = ("name", "_bits")
 
-    def __init__(self, name: str, bits: Sequence[int]):
+    def __init__(self, name: str, words: Sequence[int]):
         self.name = name
-        checked = []
-        for b in bits:
-            if b != 0 and b != 1:
-                raise ValueError(f"register {name!r}: bit value {b!r} is not 0 or 1")
-            checked.append(int(b))
-        self._bits = checked
-
-    @classmethod
-    def zeros(cls, name: str, length: int) -> "BitRegister":
-        return cls(name, [0] * length)
-
-    @classmethod
-    def ones(cls, name: str, length: int) -> "BitRegister":
-        return cls(name, [1] * length)
+        self._bits = list(words)
 
     @property
     def bits(self) -> Bits:
@@ -77,13 +73,35 @@ class BitRegister:
     def __getitem__(self, i: int) -> int:
         return self._bits[i]
 
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._bits)
+
+
+class BitRegister(_Lanes):
+    """A named, fixed-length register of classical bits (strictly 0 or 1)."""
+
+    __slots__ = ()
+
+    def __init__(self, name: str, bits: Sequence[int]):
+        checked = []
+        for b in bits:
+            if b != 0 and b != 1:
+                raise ValueError(f"register {name!r}: bit value {b!r} is not 0 or 1")
+            checked.append(int(b))
+        super().__init__(name, checked)
+
+    @classmethod
+    def zeros(cls, name: str, length: int) -> "BitRegister":
+        return cls(name, [0] * length)
+
+    @classmethod
+    def ones(cls, name: str, length: int) -> "BitRegister":
+        return cls(name, [1] * length)
+
     def __setitem__(self, i: int, value: int) -> None:
         if value != 0 and value != 1:
             raise ValueError(f"register {self.name!r}: bit value {value!r} is not 0 or 1")
         self._bits[i] = int(value)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._bits)
 
     def __repr__(self) -> str:
         return f"BitRegister({self.name!r}, {bits_to_str(self._bits)})"
@@ -107,6 +125,8 @@ class GateTrace:
     :meth:`replay_inverse` applies the steps in reverse order (every
     primitive is its own inverse) and restores the initial state.  Capture
     is bounded by ``max_steps``; a truncated trace refuses to replay.
+    ``tally`` counts every applied primitive by op and keeps counting past
+    ``max_steps``, so it always holds the full gate count of the run.
     """
 
     def __init__(self, max_steps: int = 200_000):
@@ -114,12 +134,14 @@ class GateTrace:
         self.steps: list[GateStep] = []
         self.truncated = False
         self.initial: dict[str, Bits] = {}
+        self.tally: Counter[str] = Counter()
 
-    def track(self, reg: BitRegister) -> None:
+    def track(self, reg: _Lanes) -> None:
         if reg.name not in self.initial:
             self.initial[reg.name] = reg.bits
 
     def record(self, op: str, operands: tuple[tuple[str, int], ...], before: int, after: int) -> None:
+        self.tally[op] += 1
         if len(self.steps) >= self.max_steps:
             self.truncated = True
             return
@@ -152,15 +174,18 @@ class GateTrace:
 
 
 # --- primitive gates -------------------------------------------------------
+#
+# Every primitive acts on all lanes of its target word at once.  ``ones`` is
+# ALL, the word with every lane set, so NOT flips each lane.
 
-def _not(reg: BitRegister, i: int, trace: GateTrace | None) -> None:
+def _not(reg: _Lanes, i: int, ones: int, trace: GateTrace | None) -> None:
     before = reg._bits[i]
-    reg._bits[i] = before ^ 1
+    reg._bits[i] = before ^ ones
     if trace is not None:
-        trace.record("not", ((reg.name, i),), before, before ^ 1)
+        trace.record("not", ((reg.name, i),), before, before ^ ones)
 
 
-def _cnot(creg: BitRegister, ci: int, treg: BitRegister, ti: int, trace: GateTrace | None) -> None:
+def _cnot(creg: _Lanes, ci: int, treg: _Lanes, ti: int, trace: GateTrace | None) -> None:
     before = treg._bits[ti]
     after = before ^ creg._bits[ci]
     treg._bits[ti] = after
@@ -169,9 +194,9 @@ def _cnot(creg: BitRegister, ci: int, treg: BitRegister, ti: int, trace: GateTra
 
 
 def _ccnot(
-    areg: BitRegister, ai: int,
-    breg: BitRegister, bi: int,
-    treg: BitRegister, ti: int,
+    areg: _Lanes, ai: int,
+    breg: _Lanes, bi: int,
+    treg: _Lanes, ti: int,
     trace: GateTrace | None,
 ) -> None:
     before = treg._bits[ti]
@@ -181,9 +206,9 @@ def _ccnot(
         trace.record("ccnot", ((areg.name, ai), (breg.name, bi), (treg.name, ti)), before, after)
 
 
-def _not_all(reg: BitRegister, trace: GateTrace | None) -> None:
+def _not_all(reg: _Lanes, ones: int, trace: GateTrace | None) -> None:
     for i in range(len(reg)):
-        _not(reg, i, trace)
+        _not(reg, i, ones, trace)
 
 
 def _check_bit(value: int, what: str) -> int:
@@ -217,17 +242,18 @@ def gate_ccnot(a: int, b: int, target: int) -> int:
 
 def _comparator_apply(
     mode: str,
-    u: BitRegister,
-    v: BitRegister,
+    u: _Lanes,
+    v: _Lanes,
     ancilla: int,
-    flag_reg: BitRegister,
+    flag_reg: _Lanes,
     flag_idx: int,
+    ones: int,
     trace: GateTrace | None,
 ) -> int:
-    """Apply the comparator skeleton; returns the ancilla after the op.
+    """Apply the comparator skeleton in every lane; returns the ancilla word after the op.
 
-    mode "xor": flag flips iff u == v (bitwise equal).
-    mode "and": flag flips iff u AND v is all zeros.
+    mode "xor": a lane's flag flips iff u == v (bitwise equal) in that lane.
+    mode "and": a lane's flag flips iff u AND v is all zeros in that lane.
     Scratch and chain registers are created fresh, used, and uncomputed;
     the chain's seed slot holds the ancilla and is never written.
     """
@@ -235,8 +261,8 @@ def _comparator_apply(
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
     n = len(u)
     uid = next(_fresh)
-    scratch = BitRegister.zeros(f"cmp{uid}.scratch", n)
-    chain = BitRegister(f"cmp{uid}.chain", [_check_bit(ancilla, "ancilla")] + [0] * n)
+    scratch = _Lanes(f"cmp{uid}.scratch", [0] * n)
+    chain = _Lanes(f"cmp{uid}.chain", [ancilla] + [0] * n)
     if trace is not None:
         trace.track(u)
         trace.track(v)
@@ -251,13 +277,13 @@ def _comparator_apply(
     else:
         for i in range(n):
             _ccnot(u, i, v, i, scratch, i, trace)
-    _not_all(scratch, trace)
+    _not_all(scratch, ones, trace)
     for i in range(n):
         _ccnot(scratch, i, chain, i, chain, i + 1, trace)
     _cnot(chain, n, flag_reg, flag_idx, trace)
     for i in reversed(range(n)):
         _ccnot(scratch, i, chain, i, chain, i + 1, trace)
-    _not_all(scratch, trace)
+    _not_all(scratch, ones, trace)
     if mode == "xor":
         for i in reversed(range(n)):
             _cnot(v, i, scratch, i, trace)
@@ -266,9 +292,9 @@ def _comparator_apply(
         for i in reversed(range(n)):
             _ccnot(u, i, v, i, scratch, i, trace)
 
-    if any(scratch) or any(chain[i] for i in range(1, n + 1)):
+    if any(scratch._bits) or any(chain._bits[1:]):
         raise AssertionError(f"comparator scratch not uncomputed for {scratch.name}")
-    return chain[0]
+    return chain._bits[0]
 
 
 def _as_register(bits_or_reg, name: str) -> BitRegister:
@@ -288,7 +314,9 @@ def gate_identity(u, v, ancilla: int = 1, flag: int = 1, trace: GateTrace | None
     u_reg = _as_register(u, f"id{uid}.u")
     v_reg = _as_register(v, f"id{uid}.v")
     flag_reg = BitRegister(f"id{uid}.flag", [_check_bit(flag, "flag")])
-    ancilla_out = _comparator_apply("xor", u_reg, v_reg, ancilla, flag_reg, 0, trace)
+    ancilla_out = _comparator_apply(
+        "xor", u_reg, v_reg, _check_bit(ancilla, "ancilla"), flag_reg, 0, 1, trace
+    )
     return flag_reg[0], ancilla_out
 
 
@@ -303,7 +331,9 @@ def gate_inclusion(mask, d, ancilla: int = 1, flag: int = 0, trace: GateTrace | 
     mask_reg = _as_register(mask, f"incl{uid}.mask")
     d_reg = _as_register(d, f"incl{uid}.d")
     flag_reg = BitRegister(f"incl{uid}.flag", [_check_bit(flag, "flag")])
-    ancilla_out = _comparator_apply("and", mask_reg, d_reg, ancilla, flag_reg, 0, trace)
+    ancilla_out = _comparator_apply(
+        "and", mask_reg, d_reg, _check_bit(ancilla, "ancilla"), flag_reg, 0, 1, trace
+    )
     return flag_reg[0], ancilla_out
 
 
@@ -317,16 +347,18 @@ def gate_inclusion_inverse(mask, d, ancilla: int, flag: int, trace: GateTrace | 
     return gate_inclusion(mask, d, ancilla, flag, trace)
 
 
-# --- array builders ---------------------------------------------------------
+# --- circuit steps ------------------------------------------------------------
+#
+# One register-level implementation per step.  The full pipeline runs each
+# step on lane words, one lane per mask; the public builders below run the
+# same step on a single lane.
 
-def _flat_index(j: int, jp: int, m: int) -> int:
-    # 1-based (j, j') row-major; 0-based into the flat register
-    return (j - 1) * m + jp - 1
-
-
-def _register_to_matrix(reg: BitRegister, m: int, offset: int = 0) -> np.ndarray:
-    flat = np.array(reg.bits[offset:offset + m * m], dtype=np.uint8)
-    return flat.reshape(m, m)
+def _lane_matrices(words: Sequence[int], lanes: int, m: int) -> np.ndarray:
+    """Unpack a flat m*m register of lane words into a (lanes, m, m) uint8 array."""
+    width = (lanes + 7) // 8
+    packed = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(len(words), width), axis=1, count=lanes, bitorder="little")
+    return np.ascontiguousarray(bits.T).reshape(lanes, m, m)
 
 
 def _matrix_register(name: str, matrix, trace: GateTrace | None) -> tuple[BitRegister, int]:
@@ -340,33 +372,52 @@ def _matrix_register(name: str, matrix, trace: GateTrace | None) -> tuple[BitReg
 
 
 def _containment_scan(
-    s_reg: BitRegister,
-    d_regs: Sequence[BitRegister],
-    y_reg: BitRegister,
-    z_reg: BitRegister,
-    c2_reg: BitRegister,
+    s_reg: _Lanes,
+    d_regs: Sequence[_Lanes],
+    y_reg: _Lanes,
+    z_reg: _Lanes,
+    c2_reg: _Lanes,
+    ones: int,
     trace: GateTrace | None,
-) -> bool:
+) -> int:
     """Fill C2 via nested containment tests, uncomputing each test after use.
 
     C2(j, j') becomes 1 iff both difference vectors are in the supracontext.
-    Returns True when every ancilla and both flag registers came back to
-    their presets.
+    Returns the word of lanes in which an ancilla or either flag register
+    did not come back to its preset (0 when every lane is restored).
     """
     m = len(d_regs)
-    restored = True
-    for j in range(1, m + 1):
-        anc = _comparator_apply("and", s_reg, d_regs[j - 1], 1, y_reg, 0, trace)
-        restored &= anc == 1
-        for jp in range(1, m + 1):
-            anc = _comparator_apply("and", s_reg, d_regs[jp - 1], 1, z_reg, 0, trace)
-            restored &= anc == 1
-            _ccnot(y_reg, 0, z_reg, 0, c2_reg, _flat_index(j, jp, m), trace)
-            anc = _comparator_apply("and", s_reg, d_regs[jp - 1], 1, z_reg, 0, trace)
-            restored &= anc == 1 and z_reg[0] == 0
-        anc = _comparator_apply("and", s_reg, d_regs[j - 1], 1, y_reg, 0, trace)
-        restored &= anc == 1 and y_reg[0] == 0
-    return restored
+    bad = 0
+    for j in range(m):
+        bad |= ones ^ _comparator_apply("and", s_reg, d_regs[j], ones, y_reg, 0, ones, trace)
+        for jp in range(m):
+            bad |= ones ^ _comparator_apply("and", s_reg, d_regs[jp], ones, z_reg, 0, ones, trace)
+            _ccnot(y_reg, 0, z_reg, 0, c2_reg, j * m + jp, trace)
+            bad |= ones ^ _comparator_apply("and", s_reg, d_regs[jp], ones, z_reg, 0, ones, trace)
+            bad |= z_reg._bits[0]
+        bad |= ones ^ _comparator_apply("and", s_reg, d_regs[j], ones, y_reg, 0, ones, trace)
+        bad |= y_reg._bits[0]
+    return bad
+
+
+def _and_array(a_reg: _Lanes, b_reg: _Lanes, out_reg: _Lanes, trace: GateTrace | None) -> None:
+    """out ^= a AND b entrywise, one Toffoli per entry (P2 from V2/W2, H2 from C2/P2)."""
+    for k in range(len(out_reg)):
+        _ccnot(a_reg, k, b_reg, k, out_reg, k, trace)
+
+
+def _ones_scan(h_reg: _Lanes, f_reg: _Lanes, trace: GateTrace | None, inverse: bool = False) -> None:
+    # f_reg[0] is the trigger; positions 1..m^2 mirror h_reg positions 0..m^2-1
+    m2 = len(h_reg)
+    ks = range(m2, 0, -1) if inverse else range(1, m2 + 1)
+    for k in ks:
+        _ccnot(h_reg, k - 1, f_reg, k - 1, f_reg, k, trace)
+
+
+def _analogy(c2_reg: _Lanes, flag_reg: _Lanes, flag_idx: int, a2_reg: _Lanes,
+             trace: GateTrace | None) -> None:
+    for k in range(len(a2_reg)):
+        _ccnot(c2_reg, k, flag_reg, flag_idx, a2_reg, k, trace)
 
 
 def build_containment_array(
@@ -386,8 +437,8 @@ def build_containment_array(
     if trace is not None:
         for reg in (s_reg, *d_regs, y_reg, z_reg, c2_reg):
             trace.track(reg)
-    _containment_scan(s_reg, d_regs, y_reg, z_reg, c2_reg, trace)
-    return _register_to_matrix(c2_reg, ds.m)
+    _containment_scan(s_reg, d_regs, y_reg, z_reg, c2_reg, 1, trace)
+    return _lane_matrices(c2_reg, 1, ds.m)[0]
 
 
 def build_heterogeneity_array(c2, p2, trace: GateTrace | None = None) -> np.ndarray:
@@ -400,17 +451,8 @@ def build_heterogeneity_array(c2, p2, trace: GateTrace | None = None) -> np.ndar
     h2_reg = BitRegister.zeros(f"het{uid}.H2", m * m)
     if trace is not None:
         trace.track(h2_reg)
-    for k in range(m * m):
-        _ccnot(c2_reg, k, p2_reg, k, h2_reg, k, trace)
-    return _register_to_matrix(h2_reg, m)
-
-
-def _ones_scan(h_reg: BitRegister, f_reg: BitRegister, trace: GateTrace | None, inverse: bool = False) -> None:
-    # f_reg[0] is the trigger; positions 1..m^2 mirror h_reg positions 0..m^2-1
-    m2 = len(h_reg)
-    ks = range(m2, 0, -1) if inverse else range(1, m2 + 1)
-    for k in ks:
-        _ccnot(h_reg, k - 1, f_reg, k - 1, f_reg, k, trace)
+    _and_array(c2_reg, p2_reg, h2_reg, trace)
+    return _lane_matrices(h2_reg, 1, m)[0]
 
 
 def gate_ones(h_negated, trigger: int = 1, trace: GateTrace | None = None) -> tuple[int, np.ndarray]:
@@ -427,7 +469,7 @@ def gate_ones(h_negated, trigger: int = 1, trace: GateTrace | None = None) -> tu
     if trace is not None:
         trace.track(f_reg)
     _ones_scan(h_reg, f_reg, trace)
-    return f_reg[m * m], _register_to_matrix(f_reg, m, offset=1)
+    return f_reg[m * m], _lane_matrices(f_reg[1:], 1, m)[0]
 
 
 def gate_ones_inverse(h_negated, f, trigger: int = 1, trace: GateTrace | None = None) -> tuple[int, np.ndarray]:
@@ -441,7 +483,7 @@ def gate_ones_inverse(h_negated, f, trigger: int = 1, trace: GateTrace | None = 
     if trace is not None:
         trace.track(f_reg)
     _ones_scan(h_reg, f_reg, trace, inverse=True)
-    return f_reg[0], _register_to_matrix(f_reg, m, offset=1)
+    return f_reg[0], _lane_matrices(f_reg[1:], 1, m)[0]
 
 
 def build_analogy_array(c2, homog_flag, trace: GateTrace | None = None) -> np.ndarray:
@@ -453,9 +495,8 @@ def build_analogy_array(c2, homog_flag, trace: GateTrace | None = None) -> np.nd
     if trace is not None:
         trace.track(flag_reg)
         trace.track(a2_reg)
-    for k in range(m * m):
-        _ccnot(c2_reg, k, flag_reg, 0, a2_reg, k, trace)
-    return _register_to_matrix(a2_reg, m)
+    _analogy(c2_reg, flag_reg, 0, a2_reg, trace)
+    return _lane_matrices(a2_reg, 1, m)[0]
 
 
 # --- the full pipeline ------------------------------------------------------
@@ -498,6 +539,65 @@ def _outcome_codes(ds: Dataset) -> dict[str, Bits]:
     return {o: int_to_bits(i, width) for i, o in enumerate(order)}
 
 
+def _supracontext_circuits(
+    masks: Sequence[Bits],
+    d_regs: Sequence[BitRegister],
+    p2_reg: BitRegister,
+    trace: GateTrace | None,
+) -> list[SupracontextCircuitResult]:
+    """Run the per-mask circuit once, lane l carrying ``masks[l]``.
+
+    Per lane: C2 through nested containment tests, H2 = C2 AND P2, negate
+    H2, sweep for the homogeneity flag, conditionally copy C2 into A2,
+    then reverse the sweep and the negation so every scratch register
+    ends at its preset.
+    """
+    lanes = len(masks)
+    ones = (1 << lanes) - 1
+    m2 = len(p2_reg)
+    m = len(d_regs)
+    pfx = f"m{bits_to_str(masks[0])}." if lanes == 1 else "lanes."
+    s_reg = _Lanes(pfx + "S", [
+        sum(mask[i] << lane for lane, mask in enumerate(masks)) for i in range(len(masks[0]))
+    ])
+    d_lanes = [_Lanes(d.name, [b * ones for b in d]) for d in d_regs]
+    p2_lanes = _Lanes(p2_reg.name, [b * ones for b in p2_reg])
+    y_reg = _Lanes(pfx + "Y", [0])
+    z_reg = _Lanes(pfx + "Z", [0])
+    c2_reg = _Lanes(pfx + "C2", [0] * m2)
+    h2_reg = _Lanes(pfx + "H2", [0] * m2)
+    f_reg = _Lanes(pfx + "F", [ones] + [0] * m2)
+    a2_reg = _Lanes(pfx + "A2", [0] * m2)
+    if trace is not None:
+        for reg in (s_reg, y_reg, z_reg, c2_reg, h2_reg, f_reg, a2_reg):
+            trace.track(reg)
+
+    bad = _containment_scan(s_reg, d_lanes, y_reg, z_reg, c2_reg, ones, trace)
+    _and_array(c2_reg, p2_lanes, h2_reg, trace)
+    _not_all(h2_reg, ones, trace)
+    _ones_scan(h2_reg, f_reg, trace)
+    homogeneous = f_reg[m2]
+    _analogy(c2_reg, f_reg, m2, a2_reg, trace)
+    _ones_scan(h2_reg, f_reg, trace, inverse=True)
+    _not_all(h2_reg, ones, trace)
+    bad |= f_reg[0] ^ ones
+    for word in f_reg[1:]:
+        bad |= word
+
+    c2s, h2s, a2s = (_lane_matrices(reg, lanes, m) for reg in (c2_reg, h2_reg, a2_reg))
+    return [
+        SupracontextCircuitResult(
+            mask=mask,
+            c2=c2s[lane],
+            h2=h2s[lane],
+            homogeneous=bool(homogeneous >> lane & 1),
+            a2=a2s[lane],
+            ancillas_restored=not bad >> lane & 1,
+        )
+        for lane, mask in enumerate(masks)
+    ]
+
+
 def run_qam_circuit(
     ds: Dataset,
     given: Sequence[str],
@@ -507,10 +607,10 @@ def run_qam_circuit(
 ) -> CircuitRun:
     """Run the full gate pipeline over all 2^n supracontexts.
 
-    Builds V2, W2, P2 once, then per mask: C2 through nested containment
-    tests, H2 = C2 AND P2, negate H2, sweep for the homogeneity flag,
-    conditionally copy C2 into A2, then reverse the sweep and the negation
-    so every scratch register ends at its preset.
+    Builds V2, W2, P2 once, then runs the per-mask circuit on all masks at
+    once, one lane each.  With a ``trace`` the masks run one at a time in
+    :func:`iter_masks` order, so the trace records every gate of every mask
+    on plain bits.
     """
     check_lattice_size(ds.n, n_cap)
     m = ds.m
@@ -528,59 +628,21 @@ def run_qam_circuit(
         for reg in (*d_regs, *o_regs, v2_reg, w2_reg, p2_reg):
             trace.track(reg)
 
-    for j in range(1, m + 1):
-        for jp in range(1, m + 1):
-            _comparator_apply("xor", d_regs[j - 1], d_regs[jp - 1], 1, v2_reg,
-                              _flat_index(j, jp, m), trace)
-    for j in range(1, m + 1):
-        for jp in range(1, m + 1):
-            _comparator_apply("xor", o_regs[j - 1], o_regs[jp - 1], 1, w2_reg,
-                              _flat_index(j, jp, m), trace)
-    for k in range(m * m):
-        _ccnot(v2_reg, k, w2_reg, k, p2_reg, k, trace)
+    for j in range(m):
+        for jp in range(m):
+            _comparator_apply("xor", d_regs[j], d_regs[jp], 1, v2_reg, j * m + jp, 1, trace)
+    for j in range(m):
+        for jp in range(m):
+            _comparator_apply("xor", o_regs[j], o_regs[jp], 1, w2_reg, j * m + jp, 1, trace)
+    _and_array(v2_reg, w2_reg, p2_reg, trace)
 
-    results = []
-    f_preset = (1,) + (0,) * (m * m)
-    for mask in iter_masks(ds.n):
-        pfx = f"m{bits_to_str(mask)}."
-        s_reg = BitRegister(pfx + "S", mask)
-        y_reg = BitRegister.zeros(pfx + "Y", 1)
-        z_reg = BitRegister.zeros(pfx + "Z", 1)
-        c2_reg = BitRegister.zeros(pfx + "C2", m * m)
-        h2_reg = BitRegister.zeros(pfx + "H2", m * m)
-        f_reg = BitRegister(pfx + "F", list(f_preset))
-        a2_reg = BitRegister.zeros(pfx + "A2", m * m)
-        if trace is not None:
-            for reg in (s_reg, y_reg, z_reg, c2_reg, h2_reg, f_reg, a2_reg):
-                trace.track(reg)
-
-        restored = _containment_scan(s_reg, d_regs, y_reg, z_reg, c2_reg, trace)
-        for k in range(m * m):
-            _ccnot(c2_reg, k, p2_reg, k, h2_reg, k, trace)
-        _not_all(h2_reg, trace)
-        _ones_scan(h2_reg, f_reg, trace)
-        homogeneous = f_reg[m * m] == 1
-        for k in range(m * m):
-            _ccnot(c2_reg, k, f_reg, m * m, a2_reg, k, trace)
-        _ones_scan(h2_reg, f_reg, trace, inverse=True)
-        _not_all(h2_reg, trace)
-
-        restored &= f_reg.bits == f_preset
-        results.append(
-            SupracontextCircuitResult(
-                mask=mask,
-                c2=_register_to_matrix(c2_reg, m),
-                h2=_register_to_matrix(h2_reg, m),
-                homogeneous=homogeneous,
-                a2=_register_to_matrix(a2_reg, m),
-                ancillas_restored=bool(restored),
-            )
-        )
-
+    masks = list(iter_masks(ds.n))
+    groups = [[mask] for mask in masks] if trace is not None else [masks]
+    results = [r for group in groups for r in _supracontext_circuits(group, d_regs, p2_reg, trace)]
     return CircuitRun(
-        v2=_register_to_matrix(v2_reg, m),
-        w2=_register_to_matrix(w2_reg, m),
-        p2=_register_to_matrix(p2_reg, m),
+        v2=_lane_matrices(v2_reg, 1, m)[0],
+        w2=_lane_matrices(w2_reg, 1, m)[0],
+        p2=_lane_matrices(p2_reg, 1, m)[0],
         results=tuple(results),
     )
 
@@ -590,24 +652,30 @@ def to_analogical_set(run: CircuitRun, ds: Dataset) -> AnalogicalSet:
 
     Members come off the C2 diagonal, homogeneity off the circuit flag, and
     pointer counts off the surviving A2 entries (column j' targets the
-    outcome of exemplar j').
+    outcome of exemplar j').  Both are read from the per-mask matrices
+    stacked into (masks, m, m) arrays.
     """
     outcomes = [e.outcome for e in ds.exemplars]
+    diagonals = np.diagonal(np.stack([r.c2 for r in run.results]), axis1=1, axis2=2)
+    per_target = np.stack([r.a2 for r in run.results]).sum(axis=(0, 1), dtype=np.int64)
     counts: dict[str, int] = {o: 0 for o in ds.outcome_order}
-    total = 0
+    for outcome, c in zip(outcomes, per_target.tolist()):
+        counts[outcome] += c
     verdicts = []
-    for r in run.results:
-        members = tuple(j for j in range(1, ds.m + 1) if r.c2[j - 1, j - 1])
+    for r, diagonal in zip(run.results, diagonals.tolist()):
+        # tuples from lists, not generators: a tuple grown from a generator
+        # is reallocated as it grows, and over thousands of readbacks that
+        # fragments the heap and peak RSS creeps up
+        members = tuple([j for j, inside in enumerate(diagonal, 1) if inside])
         verdicts.append(
             SupracontextVerdict(
                 mask=r.mask,
                 members=members,
-                member_outcomes=tuple(outcomes[j - 1] for j in members),
+                member_outcomes=tuple([outcomes[j - 1] for j in members]),
                 homogeneous=r.homogeneous,
                 m=ds.m,
             )
         )
-        total += int(r.a2.sum())
-        for jp in range(1, ds.m + 1):
-            counts[outcomes[jp - 1]] += int(r.a2[:, jp - 1].sum())
-    return AnalogicalSet(verdicts=tuple(verdicts), outcome_counts=counts, total_pointers=total)
+    return AnalogicalSet(
+        verdicts=tuple(verdicts), outcome_counts=counts, total_pointers=int(per_target.sum())
+    )

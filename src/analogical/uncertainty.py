@@ -124,7 +124,13 @@ def read_density_file(path) -> TabulatedDensity:
     grid = []
     values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise InvalidDistributionError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -330,6 +330,15 @@ def test_exit_code_dataset_not_utf8(tmp_path, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_exit_code_density_not_utf8(tmp_path, capsys):
+    path = tmp_path / "density.txt"
+    path.write_bytes(b"0 1\n\xff 1\n")
+    code, out, err = run_cli(capsys, "measures", "--density", str(path))
+    assert code == cli.EXIT_FORMAT
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_exit_code_given_mismatch(worked_path, capsys):
     code, _, err = run_cli(
         capsys, "predict", "--dataset", worked_path, "--given", "o m"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from analogical import (
     run_qam_circuit,
     to_analogical_set,
 )
+from analogical.gates import _containment_scan, _Lanes
 from helpers import (
     EXPECTED_A2_ONES,
     EXPECTED_COUNTS,
@@ -278,3 +280,71 @@ def test_composite_traces_cover_scratch():
         # chains keep their ancilla seed; everything else is uncomputed
         body = final[name][1:] if ".chain" in name else final[name]
         assert all(b == 0 for b in body)
+
+
+def test_trace_tally_counts_every_gate(worked):
+    ds, given = worked
+    full = GateTrace()
+    run_qam_circuit(ds, given, trace=full)
+    assert not full.truncated
+    assert sum(full.tally.values()) == len(full.steps) == 16_044
+    assert full.tally == Counter(step.op for step in full.steps)
+
+    cut = GateTrace(max_steps=10)
+    run_qam_circuit(ds, given, trace=cut)
+    assert cut.truncated
+    assert len(cut.steps) == 10
+    assert cut.tally == full.tally
+
+
+# --- the lane engine -----------------------------------------------------------------
+
+def _lane_instances():
+    """Seeded instances covering m=1, duplicates, one outcome and wide outcome codes."""
+    rng = random.Random(41)
+    yield Dataset.from_pairs([(("a", "b"), "x")]), ("a", "c")
+    yield Dataset.from_pairs([(("a", "b"), "x")] * 3 + [(("a", "c"), "y")] * 2), ("a", "b")
+    yield Dataset.from_pairs([((c,), "x") for c in "abca"]), ("b",)
+    yield Dataset.from_pairs([((c, d), o) for c, d, o in zip("abab", "aabb", "pqrs")]), ("a", "b")
+    for _ in range(70):
+        yield random_instance(rng, max_m=6, max_n=4)
+    for _ in range(30):
+        m, n = rng.randint(1, 6), rng.randint(1, 3)
+        labels = "pqrst"[: rng.randint(4, 5)]
+        pairs = [(tuple(rng.choice("ab") for _ in range(n)), rng.choice(labels)) for _ in range(m)]
+        yield Dataset.from_pairs(pairs), tuple(rng.choice("ab") for _ in range(n))
+
+
+def _circuit_fields(run):
+    return (
+        [matrix.tolist() for matrix in (run.v2, run.w2, run.p2)],
+        [(r.mask, r.c2.tolist(), r.h2.tolist(), r.a2.tolist(), r.homogeneous, r.ancillas_restored)
+         for r in run],
+    )
+
+
+def test_lanes_match_mask_by_mask():
+    instances = list(_lane_instances())
+    assert len(instances) >= 100
+    assert any(len(ds.outcome_order) >= 4 for ds, _ in instances)
+    for ds, given in instances:
+        lanes = run_qam_circuit(ds, given)
+        one_by_one = run_qam_circuit(ds, given, trace=GateTrace(max_steps=0))
+        assert _circuit_fields(lanes) == _circuit_fields(one_by_one)
+
+
+def test_lanes_restore_every_ancilla():
+    for ds, given in _lane_instances():
+        run = run_qam_circuit(ds, given)
+        assert len(run) == 2 ** ds.n
+        assert all(r.ancillas_restored is True for r in run)
+
+
+def test_restoration_check_is_per_lane():
+    # three masks over one feature; only lane 1 starts with its Y flag set,
+    # so only lane 1 can report a flag that did not return to its preset
+    s_reg = _Lanes("S", [0b101])
+    d_regs = [_Lanes("D", [0])]
+    y_reg, z_reg, c2_reg = _Lanes("Y", [0b010]), _Lanes("Z", [0]), _Lanes("C2", [0])
+    bad = _containment_scan(s_reg, d_regs, y_reg, z_reg, c2_reg, 0b111, None)
+    assert bad == 0b010
