@@ -19,9 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 from .core import (
@@ -39,12 +38,11 @@ from .homogeneity import (
     AnalogicalSet,
     NoAnalogicalSupportError,
     OutcomeDistribution,
+    SupracontextVerdict,
     analogical_set,
-    is_homogeneous_determinism,
-    is_homogeneous_disagreement,
-    is_homogeneous_plurality,
-    is_homogeneous_pointer,
+    criteria_verdicts,
     most_likely_outcome,
+    pointer_heterogeneity_matrix,
     predict_distribution,
     sample_outcome,
 )
@@ -62,38 +60,19 @@ EXIT_FORMAT = 2
 EXIT_SIZE = 3
 EXIT_NO_SUPPORT = 4
 
-
-@dataclass
-class RunConfig:
-    """Parsed invocation options shared by the subcommands."""
-
-    dataset_path: str | None = None
-    given_context: FeatureVector = ()
-    engine: str = "fast"
-    seed: int | None = None
-    output_format: str = "text"
-    n_cap: int = DEFAULT_N_CAP
-    trace: bool = False
+# checked in order; the first class the exception is an instance of wins
+_EXIT_CODES: dict[type[Exception], int] = {
+    DatasetFormatError: EXIT_FORMAT,
+    InvalidDistributionError: EXIT_FORMAT,
+    OSError: EXIT_FORMAT,
+    LatticeSizeError: EXIT_SIZE,
+    NoAnalogicalSupportError: EXIT_NO_SUPPORT,
+}
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    given: FeatureVector = ()
-    if getattr(args, "given", None):
-        given = tuple(args.given.split())
-    return RunConfig(
-        dataset_path=getattr(args, "dataset", None),
-        given_context=given,
-        engine=getattr(args, "engine", "fast"),
-        seed=getattr(args, "seed", None),
-        output_format=getattr(args, "format", "text"),
-        n_cap=getattr(args, "n_cap", DEFAULT_N_CAP),
-        trace=bool(getattr(args, "trace", False)),
-    )
-
-
-def _load(cfg: RunConfig) -> tuple[Dataset, FeatureVector]:
-    ds = load_dataset(cfg.dataset_path)
-    given = cfg.given_context
+def _load(args: argparse.Namespace) -> tuple[Dataset, FeatureVector]:
+    ds = load_dataset(args.dataset)
+    given = tuple((args.given or "").split())
     if len(given) != ds.n:
         raise DatasetFormatError(
             f"given context has {len(given)} features, dataset has {ds.n}"
@@ -101,11 +80,11 @@ def _load(cfg: RunConfig) -> tuple[Dataset, FeatureVector]:
     return ds, given
 
 
-def _build_set(cfg: RunConfig, ds: Dataset, given: FeatureVector) -> AnalogicalSet:
-    if cfg.engine == "gates":
-        run = run_qam_circuit(ds, given, n_cap=cfg.n_cap)
+def _build_set(args: argparse.Namespace, ds: Dataset, given: FeatureVector) -> AnalogicalSet:
+    if args.engine == "gates":
+        run = run_qam_circuit(ds, given, n_cap=args.n_cap)
         return to_analogical_set(run, ds)
-    return analogical_set(ds, given, n_cap=cfg.n_cap)
+    return analogical_set(ds, given, n_cap=args.n_cap)
 
 
 def _emit(text: str) -> None:
@@ -141,11 +120,11 @@ def _matrix_json(matrix) -> list[list[int]]:
 
 # --- subcommands ------------------------------------------------------------
 
-def cmd_predict(cfg: RunConfig) -> int:
-    ds, given = _load(cfg)
-    aset = _build_set(cfg, ds, given)
+def cmd_predict(args: argparse.Namespace) -> int:
+    ds, given = _load(args)
+    aset = _build_set(args, ds, given)
     dist = predict_distribution(aset)
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "schema_version": 1,
@@ -170,70 +149,76 @@ def cmd_predict(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _exemplar_label(ds: Dataset, j: int) -> str:
-    e = ds.exemplars[j - 1]
-    return f"{' '.join(e.context)} / {e.outcome}"
+def _explain_record(v: SupracontextVerdict, keys: Sequence[str], p2) -> dict:
+    """One mask's explain entry: members, subcontexts, the four verdicts, pointers.
+
+    ``keys`` holds each exemplar's difference vector as a bit string and
+    ``p2`` the pointer heterogeneity matrix; both are built once per run.
+    """
+    member_keys = [keys[j - 1] for j in v.members]
+    groups: dict[str, list[int]] = {}
+    for j, key in zip(v.members, member_keys):
+        groups.setdefault(key, []).append(j)
+    return {
+        "mask": bits_to_str(v.mask),
+        "members": list(v.members),
+        "member_outcomes": list(v.member_outcomes),
+        "subcontexts": groups,
+        "homogeneous": v.homogeneous,
+        "verdicts": criteria_verdicts(v.members, member_keys, v.member_outcomes, p2),
+        "pointer_count": v.pointer_count,
+        "pointers": list(product(v.members, repeat=2)) if v.homogeneous else [],
+        "offending_pairs": []
+        if v.homogeneous
+        else [(a, b) for a, b in combinations(v.members, 2) if p2[a - 1, b - 1]],
+    }
 
 
-def _subcontext_groups(ds: Dataset, given: FeatureVector, members: Sequence[int]):
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for j in members:
-        d = difference_vector(ds.exemplars[j - 1].context, given)
-        groups.setdefault(d, []).append(j)
-    return groups
-
-
-def _offending_pairs(ds: Dataset, given: FeatureVector, members: Sequence[int]) -> list[tuple[int, int]]:
-    # member pairs that differ in both subcontext and outcome
-    return [
-        (a, b)
-        for a, b in combinations(members, 2)
-        if difference_vector(ds.exemplars[a - 1].context, given)
-        != difference_vector(ds.exemplars[b - 1].context, given)
-        and ds.exemplars[a - 1].outcome != ds.exemplars[b - 1].outcome
+def _explain_block(rec: dict, labels: Sequence[str]) -> list[str]:
+    """The text block of one explain record, blank line included."""
+    members = rec["members"]
+    if not members:
+        return [f"mask {rec['mask']}: empty, homogeneous, 0 pointers", ""]
+    word = "member" if len(members) == 1 else "members"
+    verdicts = rec["verdicts"]
+    agree = "agree" if len(set(verdicts.values())) == 1 else "disagree"
+    lines = [
+        f"mask {rec['mask']}: {len(members)} {word}",
+        "  members: " + ", ".join(f"{j} ({labels[j - 1]})" for j in members),
+        "  subcontexts: "
+        + ", ".join(
+            f"{d} {{{', '.join(str(j) for j in js)}}}" for d, js in rec["subcontexts"].items()
+        ),
+        f"  verdict: {'homogeneous' if rec['homogeneous'] else 'heterogeneous'} "
+        f"({', '.join(verdicts)} {agree})",
     ]
+    if rec["homogeneous"]:
+        lines.append(f"  pointers ({rec['pointer_count']}):")
+        lines.extend(f"    {labels[a - 1]} -> {labels[b - 1]}" for a, b in rec["pointers"])
+    else:
+        lines.append(
+            "  offending pairs: " + ", ".join(f"({a}, {b})" for a, b in rec["offending_pairs"])
+        )
+        lines.append("  pointers (0): none")
+    lines.append("")
+    return lines
 
 
-def cmd_explain(cfg: RunConfig) -> int:
-    ds, given = _load(cfg)
-    aset = _build_set(cfg, ds, given)
+def cmd_explain(args: argparse.Namespace) -> int:
+    ds, given = _load(args)
+    aset = _build_set(args, ds, given)
     dist = predict_distribution(aset)
+    keys = [bits_to_str(difference_vector(e.context, given)) for e in ds.exemplars]
+    p2 = pointer_heterogeneity_matrix(ds, given)
+    records = [_explain_record(v, keys, p2) for v in aset.verdicts]
 
-    if cfg.output_format == "json":
-        masks = []
-        for v in aset.verdicts:
-            groups = _subcontext_groups(ds, given, v.members)
-            pointers = (
-                [[a, b] for a in v.members for b in v.members] if v.homogeneous else []
-            )
-            masks.append(
-                {
-                    "mask": bits_to_str(v.mask),
-                    "members": list(v.members),
-                    "member_outcomes": list(v.member_outcomes),
-                    "subcontexts": {bits_to_str(d): js for d, js in groups.items()},
-                    "homogeneous": v.homogeneous,
-                    "verdicts": {
-                        "pointer": is_homogeneous_pointer(ds, given, v.mask),
-                        "plurality": is_homogeneous_plurality(ds, given, v.mask),
-                        "determinism": is_homogeneous_determinism(ds, given, v.mask),
-                        "disagreement": is_homogeneous_disagreement(ds, given, v.mask),
-                    },
-                    "pointer_count": v.pointer_count,
-                    "pointers": pointers,
-                    "offending_pairs": [
-                        list(p) for p in _offending_pairs(ds, given, v.members)
-                    ]
-                    if not v.homogeneous
-                    else [],
-                }
-            )
+    if args.format == "json":
         _emit_json(
             {
                 "schema_version": 1,
                 "command": "explain",
                 "given": list(given),
-                "masks": masks,
+                "masks": records,
                 "total_pointers": aset.total_pointers,
                 "pointer_counts": dict(aset.outcome_counts),
                 "probabilities": _probabilities_json(dist),
@@ -242,71 +227,27 @@ def cmd_explain(cfg: RunConfig) -> int:
         )
         return EXIT_OK
 
+    labels = [f"{' '.join(e.context)} / {e.outcome}" for e in ds.exemplars]
     lines = [
         f"dataset: {ds.m} exemplars, {ds.n} features",
         f"given: {' '.join(given)}",
         "",
     ]
-    for v in aset.verdicts:
-        mask_str = bits_to_str(v.mask)
-        if not v.members:
-            lines.append(f"mask {mask_str}: empty, homogeneous, 0 pointers")
-            lines.append("")
-            continue
-        word = "member" if len(v.members) == 1 else "members"
-        lines.append(f"mask {mask_str}: {len(v.members)} {word}")
-        lines.append(
-            "  members: "
-            + ", ".join(f"{j} ({_exemplar_label(ds, j)})" for j in v.members)
-        )
-        groups = _subcontext_groups(ds, given, v.members)
-        lines.append(
-            "  subcontexts: "
-            + ", ".join(
-                f"{bits_to_str(d)} {{{', '.join(str(j) for j in js)}}}"
-                for d, js in groups.items()
-            )
-        )
-        verdicts = {
-            "pointer": is_homogeneous_pointer(ds, given, v.mask),
-            "plurality": is_homogeneous_plurality(ds, given, v.mask),
-            "determinism": is_homogeneous_determinism(ds, given, v.mask),
-            "disagreement": is_homogeneous_disagreement(ds, given, v.mask),
-        }
-        agree = len(set(verdicts.values())) == 1
-        word = "homogeneous" if v.homogeneous else "heterogeneous"
-        lines.append(
-            f"  verdict: {word} "
-            f"({', '.join(verdicts)} {'agree' if agree else 'disagree'})"
-        )
-        if v.homogeneous:
-            lines.append(f"  pointers ({v.pointer_count}):")
-            for a in v.members:
-                for b in v.members:
-                    lines.append(
-                        f"    {_exemplar_label(ds, a)} -> {_exemplar_label(ds, b)}"
-                    )
-        else:
-            off = _offending_pairs(ds, given, v.members)
-            lines.append(
-                "  offending pairs: "
-                + ", ".join(f"({a}, {b})" for a, b in off)
-            )
-            lines.append("  pointers (0): none")
-        lines.append("")
+    for rec in records:
+        lines.extend(_explain_block(rec, labels))
     lines.append(_distribution_line(dist, aset.total_pointers))
     lines.append(_counts_line(aset))
     _emit("\n".join(lines))
     return EXIT_OK
 
 
-def cmd_gates(cfg: RunConfig) -> int:
-    ds, given = _load(cfg)
-    trace = GateTrace() if cfg.trace else None
-    run = run_qam_circuit(ds, given, n_cap=cfg.n_cap, trace=trace)
+def cmd_gates(args: argparse.Namespace) -> int:
+    ds, given = _load(args)
+    trace = GateTrace() if args.trace else None
+    run = run_qam_circuit(ds, given, n_cap=args.n_cap, trace=trace)
     aset = to_analogical_set(run, ds)
 
-    if cfg.output_format == "json":
+    if args.format == "json":
         obj = {
             "schema_version": 1,
             "command": "gates",
@@ -358,17 +299,17 @@ def cmd_gates(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    ds, given = _load(cfg)
-    aset = _build_set(cfg, ds, given)
+def cmd_sample(args: argparse.Namespace) -> int:
+    ds, given = _load(args)
+    aset = _build_set(args, ds, given)
     dist = predict_distribution(aset)
-    outcome = sample_outcome(dist, cfg.seed)
-    if cfg.output_format == "json":
+    outcome = sample_outcome(dist, args.seed)
+    if args.format == "json":
         _emit_json(
             {
                 "schema_version": 1,
                 "command": "sample",
-                "seed": cfg.seed,
+                "seed": args.seed,
                 "outcome": outcome,
             }
         )
@@ -396,19 +337,19 @@ def _parse_inline_distribution(pairs: Sequence[str]) -> dict[str, Fraction]:
     return probs
 
 
-def cmd_measures(cfg: RunConfig, pairs: Sequence[str], density_path: str | None) -> int:
+def cmd_measures(args: argparse.Namespace) -> int:
     probs = None
-    if pairs and cfg.dataset_path:
+    if args.pairs and args.dataset:
         raise InvalidDistributionError(
             "give either inline label:prob pairs or --dataset/--given, not both"
         )
-    if pairs:
-        probs = _parse_inline_distribution(pairs)
-    elif cfg.dataset_path:
-        ds, given = _load(cfg)
-        aset = _build_set(cfg, ds, given)
+    if args.pairs:
+        probs = _parse_inline_distribution(args.pairs)
+    elif args.dataset:
+        ds, given = _load(args)
+        aset = _build_set(args, ds, given)
         probs = dict(predict_distribution(aset).probabilities)
-    elif density_path is None:
+    elif args.density is None:
         raise InvalidDistributionError(
             "no distribution given: pass label:prob pairs, --dataset/--given, or --density"
         )
@@ -426,12 +367,12 @@ def cmd_measures(cfg: RunConfig, pairs: Sequence[str], density_path: str | None)
         lines.append(f"H = {h}")
         lines.append(f"Q = {q}")
         lines.append(f"Z = {z}")
-    if density_path is not None:
-        zp = agreement_density(read_density_file(density_path))
+    if args.density is not None:
+        zp = agreement_density(read_density_file(args.density))
         report["agreement_density"] = zp
         lines.append(f"Z' = {zp}")
 
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit_json(report)
     else:
         _emit("\n".join(lines))
@@ -477,14 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("predict", help="print the exact outcome distribution")
     _add_common(p)
     _add_engine(p)
-    p.set_defaults(func=lambda a: cmd_predict(_config_from_args(a)))
+    p.set_defaults(func=cmd_predict)
 
     p = subparsers.add_parser(
         "explain", help="per-supracontext members, subcontexts, verdicts, and pointers"
     )
     _add_common(p)
     _add_engine(p)
-    p.set_defaults(func=lambda a: cmd_explain(_config_from_args(a)))
+    p.set_defaults(func=cmd_explain)
 
     p = subparsers.add_parser(
         "gates", help="dump the reversible-engine pair arrays and per-mask matrices"
@@ -493,13 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace", action="store_true", help="capture the gate trace and report its length"
     )
-    p.set_defaults(func=lambda a: cmd_gates(_config_from_args(a)))
+    p.set_defaults(func=cmd_gates)
 
     p = subparsers.add_parser("sample", help="draw one outcome with a fixed seed")
     _add_common(p)
     _add_engine(p)
     p.add_argument("--seed", type=int, required=True, help="seed for the draw")
-    p.set_defaults(func=lambda a: cmd_sample(_config_from_args(a)))
+    p.set_defaults(func=cmd_sample)
 
     p = subparsers.add_parser(
         "measures", help="entropy, disagreement, and agreement of a distribution"
@@ -516,30 +457,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--density",
         help="two-column text file tabulating a density; adds the Z' line",
     )
-    p.set_defaults(
-        func=lambda a: cmd_measures(_config_from_args(a), a.pairs, a.density)
-    )
+    p.set_defaults(func=cmd_measures)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetFormatError, InvalidDistributionError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except LatticeSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except NoAnalogicalSupportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_SUPPORT
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ ALL = 2^L - 1 for L lanes.  Registers shared by every mask (D, V2, W2,
 P2) are broadcast to 0 or ALL.  The gate sequence, and so every per-mask
 gate count, is the one a single mask would run.  With a :class:`GateTrace`
 attached the masks run one at a time on a single lane, so every recorded
-step acts on plain 0/1 bits; results do not depend on the lane width.
+step acts on plain 0/1 bits; once the trace is full the remaining masks
+run as lanes again.  Results do not depend on the lane width.
 
 Matrix registers are kept flat in row-major order: entry (j, j') of an
 m x m array lives at position k = (j - 1) * m + j', with j, j' and k
@@ -610,7 +611,8 @@ def run_qam_circuit(
     Builds V2, W2, P2 once, then runs the per-mask circuit on all masks at
     once, one lane each.  With a ``trace`` the masks run one at a time in
     :func:`iter_masks` order, so the trace records every gate of every mask
-    on plain bits.
+    on plain bits, until it is truncated: the masks left then run as lanes
+    with no trace, and ``trace.tally`` adds their gates.
     """
     check_lattice_size(ds.n, n_cap)
     m = ds.m
@@ -637,8 +639,21 @@ def run_qam_circuit(
     _and_array(v2_reg, w2_reg, p2_reg, trace)
 
     masks = list(iter_masks(ds.n))
-    groups = [[mask] for mask in masks] if trace is not None else [masks]
-    results = [r for group in groups for r in _supracontext_circuits(group, d_regs, p2_reg, trace)]
+    if trace is None:
+        results = _supracontext_circuits(masks, d_regs, p2_reg, None)
+    else:
+        results = []
+        for i, mask in enumerate(masks):
+            before = trace.tally.copy()
+            results += _supracontext_circuits([mask], d_regs, p2_reg, trace)
+            if trace.truncated and i + 1 < len(masks):
+                # every mask runs the same gates, so the rest run as lanes
+                # untraced and add this mask's tally once per mask
+                rest = masks[i + 1:]
+                results += _supracontext_circuits(rest, d_regs, p2_reg, None)
+                for op, count in (trace.tally - before).items():
+                    trace.tally[op] += count * len(rest)
+                break
     return CircuitRun(
         v2=_lane_matrices(v2_reg, 1, m)[0],
         w2=_lane_matrices(w2_reg, 1, m)[0],

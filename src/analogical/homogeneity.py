@@ -7,10 +7,13 @@ different subcontexts *and* carry different outcomes; a supracontext with
 no heterogeneous pointer is homogeneous and contributes all k^2 of its
 pointers (self-pointers included) to the prediction.
 
-Four criteria decide homogeneity and are implemented independently so they
-can be cross-checked: the pointer scan itself, the subcontext/outcome
-plurality rule, the determinism rule, and disagreement-count comparison.
-They agree on every supracontext.
+Four criteria decide homogeneity: the pointer scan itself, the
+subcontext/outcome plurality rule, the determinism rule (the plurality
+rule by De Morgan), and disagreement-count comparison.  They share one
+member summary, the members' subcontext keys and outcomes (the pointer
+scan reads the pointer heterogeneity matrix instead), but stay four
+separate rules so they can be cross-checked; they agree on every
+supracontext.
 
 Probabilities are exact rationals: the prediction for the bundled
 six-exemplar dataset is exactly {y: 4/13, x: 9/13}, never a float
@@ -138,31 +141,17 @@ def is_homogeneous_pointer(ds: Dataset, given: Sequence[str], mask: Sequence[int
     first heterogeneous pointer (the gate engine may not).
     """
     members = contained_exemplars(ds, given, mask)
-    p2 = pointer_heterogeneity_matrix(ds, given)
-    return _pointer_scan(members, p2)
-
-
-def _pointer_scan(members: Sequence[int], p2: np.ndarray) -> bool:
-    for j, jp in combinations(members, 2):
-        if p2[j - 1, jp - 1]:
-            return False
-    return True
+    return _pointer_rule(members, pointer_heterogeneity_matrix(ds, given))
 
 
 def is_homogeneous_plurality(ds: Dataset, given: Sequence[str], mask: Sequence[int]) -> bool:
     """Heterogeneous iff members span several subcontexts AND several outcomes."""
-    members = contained_exemplars(ds, given, mask)
-    keys = {subcontext_key(difference_vector(ds.exemplars[j - 1].context, given)) for j in members}
-    outcomes = {ds.exemplars[j - 1].outcome for j in members}
-    return not (len(keys) >= 2 and len(outcomes) >= 2)
+    return _plurality_rule(*_member_summary(ds, given, mask))
 
 
 def is_homogeneous_determinism(ds: Dataset, given: Sequence[str], mask: Sequence[int]) -> bool:
     """Homogeneous iff one outcome throughout, or one subcontext throughout."""
-    members = contained_exemplars(ds, given, mask)
-    keys = {subcontext_key(difference_vector(ds.exemplars[j - 1].context, given)) for j in members}
-    outcomes = {ds.exemplars[j - 1].outcome for j in members}
-    return len(outcomes) <= 1 or len(keys) <= 1
+    return _determinism_rule(*_member_summary(ds, given, mask))
 
 
 def is_homogeneous_disagreement(ds: Dataset, given: Sequence[str], mask: Sequence[int]) -> bool:
@@ -172,19 +161,53 @@ def is_homogeneous_disagreement(ds: Dataset, given: Sequence[str], mask: Sequenc
     supracontext and once restricted to pairs sharing a subcontext; equal
     counts mean homogeneous.
     """
-    members = contained_exemplars(ds, given, mask)
-    info = [
-        (
-            subcontext_key(difference_vector(ds.exemplars[j - 1].context, given)),
-            ds.exemplars[j - 1].outcome,
-        )
-        for j in members
-    ]
+    return _disagreement_rule(*_member_summary(ds, given, mask))
+
+
+def _member_summary(ds: Dataset, given: Sequence[str], mask: Sequence[int]):
+    """Subcontext keys and outcomes of the supracontext's members, aligned."""
+    members = [ds.exemplars[j - 1] for j in contained_exemplars(ds, given, mask)]
+    keys = [subcontext_key(difference_vector(e.context, given)) for e in members]
+    return keys, [e.outcome for e in members]
+
+
+def _pointer_rule(members: Sequence[int], p2: np.ndarray) -> bool:
+    return not any(p2[j - 1, jp - 1] for j, jp in combinations(members, 2))
+
+
+def _plurality_rule(keys: Sequence, outcomes: Sequence[str]) -> bool:
+    return not (len(set(keys)) >= 2 and len(set(outcomes)) >= 2)
+
+
+def _determinism_rule(keys: Sequence, outcomes: Sequence[str]) -> bool:
+    # the plurality rule negated by De Morgan: it reads the same two sets
+    return len(set(outcomes)) <= 1 or len(set(keys)) <= 1
+
+
+def _disagreement_rule(keys: Sequence, outcomes: Sequence[str]) -> bool:
+    info = list(zip(keys, outcomes))
     d_supra = sum(1 for (_, o1), (_, o2) in product(info, info) if o1 != o2)
     d_sub = sum(
         1 for (k1, o1), (k2, o2) in product(info, info) if k1 == k2 and o1 != o2
     )
     return d_supra == d_sub
+
+
+def criteria_verdicts(
+    members: Sequence[int], keys: Sequence, outcomes: Sequence[str], p2: np.ndarray
+) -> dict[str, bool]:
+    """The four criteria's verdicts on one supracontext, in the paper's order.
+
+    ``keys`` and ``outcomes`` are aligned with ``members``; ``p2`` is the
+    pointer heterogeneity matrix.  Unlike the ``is_homogeneous_*`` calls,
+    this lets a caller build the summary and P2 once per given context.
+    """
+    return {
+        "pointer": _pointer_rule(members, p2),
+        "plurality": _plurality_rule(keys, outcomes),
+        "determinism": _determinism_rule(keys, outcomes),
+        "disagreement": _disagreement_rule(keys, outcomes),
+    }
 
 
 def analogical_set(

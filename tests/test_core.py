@@ -79,6 +79,22 @@ def test_round_trip(worked):
     assert parse_dataset(serialize_dataset(ds)) == ds
 
 
+_TOKENS = st.text(min_size=1, max_size=4).filter(lambda t: not any(c.isspace() for c in t))
+
+
+@hgiven(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.lists(
+    st.tuples(
+        st.lists(_TOKENS, min_size=n, max_size=n),
+        _TOKENS.filter(lambda t: not t.startswith("#")),
+    ),
+    min_size=1,
+    max_size=6,
+)))
+def test_round_trip_generated(pairs):
+    ds = Dataset.from_pairs(pairs)
+    assert parse_dataset(serialize_dataset(ds)) == ds
+
+
 def test_serialize_rejects_unrepresentable():
     ds = Dataset.from_pairs([(("a",), "#odd")])
     with pytest.raises(ValueError):

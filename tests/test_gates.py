@@ -297,6 +297,28 @@ def test_trace_tally_counts_every_gate(worked):
     assert cut.tally == full.tally
 
 
+class _CountingTrace(GateTrace):
+    """A trace that counts the gates handed to :meth:`record`."""
+
+    calls = 0
+
+    def record(self, *args) -> None:
+        self.calls += 1
+        super().record(*args)
+
+
+def test_truncated_trace_runs_the_rest_untraced(worked):
+    ds, given = worked
+    untraced = run_qam_circuit(ds, given)
+    cut = _CountingTrace(max_steps=10)
+    run = run_qam_circuit(ds, given, trace=cut)
+    assert _circuit_fields(run) == _circuit_fields(untraced)
+    assert cut.truncated and len(cut.steps) == 10
+    assert sum(cut.tally.values()) == 16_044
+    # the pair arrays and the first mask are traced; the other seven masks run as lanes
+    assert cut.calls < 16_044 // 4
+
+
 # --- the lane engine -----------------------------------------------------------------
 
 def _lane_instances():
@@ -331,6 +353,21 @@ def test_lanes_match_mask_by_mask():
         lanes = run_qam_circuit(ds, given)
         one_by_one = run_qam_circuit(ds, given, trace=GateTrace(max_steps=0))
         assert _circuit_fields(lanes) == _circuit_fields(one_by_one)
+
+
+class _TallyTrace(GateTrace):
+    """A trace that tallies gates but stores none, so it is never truncated."""
+
+    def record(self, op, operands, before, after) -> None:
+        self.tally[op] += 1
+
+
+def test_lanes_match_traced_mask_by_mask():
+    for ds, given in _lane_instances():
+        trace = _TallyTrace()
+        one_by_one = run_qam_circuit(ds, given, trace=trace)
+        assert not trace.truncated
+        assert _circuit_fields(run_qam_circuit(ds, given)) == _circuit_fields(one_by_one)
 
 
 def test_lanes_restore_every_ancilla():
