@@ -39,10 +39,7 @@ from .core import (
 )
 from .gates import (
     BitRegister,
-    CircuitRun,
-    GateStep,
     GateTrace,
-    SupracontextCircuitResult,
     build_analogy_array,
     build_containment_array,
     build_heterogeneity_array,
@@ -107,10 +104,7 @@ __all__ = [
     "str_to_bits",
     "subcontext_key",
     "BitRegister",
-    "CircuitRun",
-    "GateStep",
     "GateTrace",
-    "SupracontextCircuitResult",
     "build_analogy_array",
     "build_containment_array",
     "build_heterogeneity_array",

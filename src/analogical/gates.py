@@ -21,7 +21,9 @@ P2) are broadcast to 0 or ALL.  The gate sequence, and so every per-mask
 gate count, is the one a single mask would run.  With a :class:`GateTrace`
 attached the masks run one at a time on a single lane, so every recorded
 step acts on plain 0/1 bits; once the trace is full the remaining masks
-run as lanes again.  Results do not depend on the lane width.
+run as lanes again.  Results do not depend on the lane width.  The run
+keeps its outputs as lane words: the analogical set is read straight off
+them, and per-mask matrices are unpacked only when a caller asks for them.
 
 Matrix registers are kept flat in row-major order: entry (j, j') of an
 m x m array lives at position k = (j - 1) * m + j', with j, j' and k
@@ -36,6 +38,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -50,7 +53,7 @@ from .core import (
     int_to_bits,
     iter_masks,
 )
-from .homogeneity import AnalogicalSet, SupracontextVerdict
+from .homogeneity import AnalogicalSet, _LatticeVerdicts
 
 _fresh = itertools.count()
 
@@ -516,21 +519,33 @@ class SupracontextCircuitResult:
 
 @dataclass(frozen=True)
 class CircuitRun:
-    """Shared pair arrays plus one circuit result per supracontext mask."""
+    """Shared pair arrays plus every mask's circuit outputs as lane words.
+
+    Lane l of each word belongs to ``masks[l]``; C2, H2 and A2 hold one
+    word per flat m x m entry.  :attr:`results` unpacks them on first read.
+    """
 
     v2: np.ndarray
     w2: np.ndarray
     p2: np.ndarray
-    results: tuple[SupracontextCircuitResult, ...]
+    masks: tuple[Bits, ...]
+    c2_words: tuple[int, ...]
+    h2_words: tuple[int, ...]
+    a2_words: tuple[int, ...]
+    flag_word: int  # lane l set: mask l is homogeneous
+    not_restored_word: int  # lane l set: an ancilla or flag of mask l missed its preset
 
-    def __iter__(self) -> Iterator[SupracontextCircuitResult]:
-        return iter(self.results)
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __getitem__(self, i: int) -> SupracontextCircuitResult:
-        return self.results[i]
+    @cached_property
+    def results(self) -> tuple[SupracontextCircuitResult, ...]:
+        lanes, m = len(self.masks), len(self.p2)
+        c2s, h2s, a2s = (_lane_matrices(w, lanes, m) for w in (self.c2_words, self.h2_words, self.a2_words))
+        return tuple([
+            SupracontextCircuitResult(
+                mask, c2s[lane], h2s[lane], bool(self.flag_word >> lane & 1), a2s[lane],
+                not self.not_restored_word >> lane & 1,
+            )
+            for lane, mask in enumerate(self.masks)
+        ])
 
 
 def _outcome_codes(ds: Dataset) -> dict[str, Bits]:
@@ -545,18 +560,18 @@ def _supracontext_circuits(
     d_regs: Sequence[BitRegister],
     p2_reg: BitRegister,
     trace: GateTrace | None,
-) -> list[SupracontextCircuitResult]:
+) -> list[int]:
     """Run the per-mask circuit once, lane l carrying ``masks[l]``.
 
     Per lane: C2 through nested containment tests, H2 = C2 AND P2, negate
     H2, sweep for the homogeneity flag, conditionally copy C2 into A2,
     then reverse the sweep and the negation so every scratch register
-    ends at its preset.
+    ends at its preset.  Returns the lane words of C2, H2 and A2, then the
+    flag word and the not-restored word, as one flat list.
     """
     lanes = len(masks)
     ones = (1 << lanes) - 1
     m2 = len(p2_reg)
-    m = len(d_regs)
     pfx = f"m{bits_to_str(masks[0])}." if lanes == 1 else "lanes."
     s_reg = _Lanes(pfx + "S", [
         sum(mask[i] << lane for lane, mask in enumerate(masks)) for i in range(len(masks[0]))
@@ -584,19 +599,7 @@ def _supracontext_circuits(
     bad |= f_reg[0] ^ ones
     for word in f_reg[1:]:
         bad |= word
-
-    c2s, h2s, a2s = (_lane_matrices(reg, lanes, m) for reg in (c2_reg, h2_reg, a2_reg))
-    return [
-        SupracontextCircuitResult(
-            mask=mask,
-            c2=c2s[lane],
-            h2=h2s[lane],
-            homogeneous=bool(homogeneous >> lane & 1),
-            a2=a2s[lane],
-            ancillas_restored=not bad >> lane & 1,
-        )
-        for lane, mask in enumerate(masks)
-    ]
+    return [*c2_reg, *h2_reg, *a2_reg, homogeneous, bad]
 
 
 def run_qam_circuit(
@@ -640,57 +643,46 @@ def run_qam_circuit(
 
     masks = list(iter_masks(ds.n))
     if trace is None:
-        results = _supracontext_circuits(masks, d_regs, p2_reg, None)
+        words = _supracontext_circuits(masks, d_regs, p2_reg, None)
     else:
-        results = []
+        # each part's lane 0 is OR-ed in at the lane of its first mask
+        words = [0] * (3 * m * m + 2)
         for i, mask in enumerate(masks):
             before = trace.tally.copy()
-            results += _supracontext_circuits([mask], d_regs, p2_reg, trace)
+            part = _supracontext_circuits([mask], d_regs, p2_reg, trace)
+            words = [w | p << i for w, p in zip(words, part)]
             if trace.truncated and i + 1 < len(masks):
                 # every mask runs the same gates, so the rest run as lanes
                 # untraced and add this mask's tally once per mask
                 rest = masks[i + 1:]
-                results += _supracontext_circuits(rest, d_regs, p2_reg, None)
+                part = _supracontext_circuits(rest, d_regs, p2_reg, None)
+                words = [w | p << (i + 1) for w, p in zip(words, part)]
                 for op, count in (trace.tally - before).items():
                     trace.tally[op] += count * len(rest)
                 break
-    return CircuitRun(
-        v2=_lane_matrices(v2_reg, 1, m)[0],
-        w2=_lane_matrices(w2_reg, 1, m)[0],
-        p2=_lane_matrices(p2_reg, 1, m)[0],
-        results=tuple(results),
-    )
+    v2, w2, p2 = (_lane_matrices(reg, 1, m)[0] for reg in (v2_reg, w2_reg, p2_reg))
+    c2, h2, a2 = (tuple(words[i * m * m:(i + 1) * m * m]) for i in range(3))
+    return CircuitRun(v2, w2, p2, tuple(masks), c2, h2, a2, *words[-2:])
+
+
+def _lane_read(diagonal: Sequence[int], flag_word: int, mask: Bits, lane: int):
+    """The gate engine's reader: members off the C2 diagonal words, the flag off its word."""
+    members = tuple([j for j, word in enumerate(diagonal, 1) if word >> lane & 1])
+    return members, bool(flag_word >> lane & 1)
 
 
 def to_analogical_set(run: CircuitRun, ds: Dataset) -> AnalogicalSet:
-    """Read the circuit outputs back into the pointer-counting vocabulary.
+    """Read the circuit's lane words back into the pointer-counting vocabulary.
 
-    Members come off the C2 diagonal, homogeneity off the circuit flag, and
-    pointer counts off the surviving A2 entries (column j' targets the
-    outcome of exemplar j').  Both are read from the per-mask matrices
-    stacked into (masks, m, m) arrays.
+    Members come off the C2 diagonal words and homogeneity off the flag
+    word as each verdict is read.  Outcome o's pointer count is the number
+    of set lanes in the A2 words of the columns j' with outcome o.
     """
-    outcomes = [e.outcome for e in ds.exemplars]
-    diagonals = np.diagonal(np.stack([r.c2 for r in run.results]), axis1=1, axis2=2)
-    per_target = np.stack([r.a2 for r in run.results]).sum(axis=(0, 1), dtype=np.int64)
     counts: dict[str, int] = {o: 0 for o in ds.outcome_order}
-    for outcome, c in zip(outcomes, per_target.tolist()):
-        counts[outcome] += c
-    verdicts = []
-    for r, diagonal in zip(run.results, diagonals.tolist()):
-        # tuples from lists, not generators: a tuple grown from a generator
-        # is reallocated as it grows, and over thousands of readbacks that
-        # fragments the heap and peak RSS creeps up
-        members = tuple([j for j, inside in enumerate(diagonal, 1) if inside])
-        verdicts.append(
-            SupracontextVerdict(
-                mask=r.mask,
-                members=members,
-                member_outcomes=tuple([outcomes[j - 1] for j in members]),
-                homogeneous=r.homogeneous,
-                m=ds.m,
-            )
-        )
+    for k, word in enumerate(run.a2_words):
+        counts[ds.exemplars[k % ds.m].outcome] += word.bit_count()
     return AnalogicalSet(
-        verdicts=tuple(verdicts), outcome_counts=counts, total_pointers=int(per_target.sum())
+        verdicts=_LatticeVerdicts(ds, partial(_lane_read, run.c2_words[:: ds.m + 1], run.flag_word)),
+        outcome_counts=counts,
+        total_pointers=sum(counts.values()),
     )

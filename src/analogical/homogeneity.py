@@ -22,10 +22,12 @@ approximation of it.
 
 from __future__ import annotations
 
+import operator
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from math import lcm
 
@@ -90,7 +92,7 @@ class AnalogicalSet:
     order) to the number of surviving pointers targeting it;
     ``total_pointers`` is their sum, equal to the sum of k^2 over the
     homogeneous supracontexts.  ``verdicts`` holds one verdict per mask in
-    :func:`iter_masks` order; the fast engine builds each one when read.
+    :func:`iter_masks` order; both engines build each one when read.
     """
 
     verdicts: Sequence[SupracontextVerdict]
@@ -251,7 +253,7 @@ def analogical_set(
     k[~homogeneous] = 0
     counts, total = _pointer_sums(k, per_outcome, ds.m)
     return AnalogicalSet(
-        verdicts=_LatticeVerdicts(ds, d_ints, homogeneous),
+        verdicts=_LatticeVerdicts(ds, partial(_subset_read, d_ints, homogeneous)),
         outcome_counts=dict(zip(order, counts)),
         total_pointers=total,
     )
@@ -269,44 +271,53 @@ def _pointer_sums(k: np.ndarray, per_outcome: np.ndarray, max_k: int) -> tuple[l
     return [int(row @ k) for row in per_outcome], int(k @ k)
 
 
+def _subset_read(d_ints: list[int], homogeneous: np.ndarray, mask: Bits, index: int):
+    """The fast engine's reader: members by d & mask == 0, flags indexed by c = NOT mask."""
+    mask_int = bits_to_int(mask)
+    members = tuple([j for j, d in enumerate(d_ints, 1) if d & mask_int == 0])
+    return members, bool(homogeneous[(len(homogeneous) - 1) ^ mask_int])
+
+
 class _LatticeVerdicts(Sequence):
     """Per-mask verdicts in :func:`iter_masks` order, each built on access.
 
-    Holds the dataset, its difference-vector ints and the homogeneity flags
-    indexed by c = NOT mask; no verdict is cached.
+    Holds the dataset and the engine's reader, ``read(mask, index)``: the
+    members and homogeneity flag of the mask at ``index``.  Nothing is cached.
     """
 
-    def __init__(self, ds: Dataset, d_ints: list[int], homogeneous: np.ndarray):
+    def __init__(self, ds: Dataset, read: Callable[[Bits, int], tuple[tuple[int, ...], bool]]):
         self._ds = ds
-        self._d_ints = d_ints
-        self._homogeneous = homogeneous
+        self._read = read
 
     def __len__(self) -> int:
         return 1 << self._ds.n
 
     def __iter__(self) -> Iterator[SupracontextVerdict]:
-        return map(self._verdict, iter_masks(self._ds.n))
+        return map(self._verdict, iter_masks(self._ds.n), range(len(self)))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
-        if index < 0:
-            index += len(self)
-        return self._verdict(mask_at(self._ds.n, index))
+        position = operator.index(index)
+        if position < 0:
+            position += len(self)
+        if not 0 <= position < len(self):
+            raise IndexError(f"verdict index {index} out of range for {len(self)} masks")
+        return self._verdict(mask_at(self._ds.n, position), position)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
         return tuple(self) == tuple(other)
 
-    def _verdict(self, mask: Bits) -> SupracontextVerdict:
-        mask_int = bits_to_int(mask)
-        members = tuple(j for j, d in enumerate(self._d_ints, 1) if d & mask_int == 0)
+    def _verdict(self, mask: Bits, index: int) -> SupracontextVerdict:
+        # tuples from lists: tuples grown from generators fragment the heap
+        members, homogeneous = self._read(mask, index)
         return SupracontextVerdict(
             mask=mask,
             members=members,
-            member_outcomes=tuple(self._ds.exemplars[j - 1].outcome for j in members),
-            homogeneous=bool(self._homogeneous[(len(self) - 1) ^ mask_int]),
+            member_outcomes=tuple([self._ds.exemplars[j - 1].outcome for j in members]),
+            homogeneous=homogeneous,
             m=self._ds.m,
         )
 

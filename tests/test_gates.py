@@ -29,6 +29,7 @@ from analogical import (
     run_qam_circuit,
     to_analogical_set,
 )
+from analogical import gates
 from analogical.gates import _containment_scan, _Lanes
 from helpers import (
     EXPECTED_A2_ONES,
@@ -183,8 +184,8 @@ def test_pipeline_pair_arrays(worked):
 def test_pipeline_per_mask_blocks(worked):
     ds, given = worked
     run = run_qam_circuit(ds, given)
-    assert len(run) == 8
-    for r in run:
+    assert len(run.results) == 8
+    for r in run.results:
         key = bits_to_str(r.mask)
         np.testing.assert_array_equal(r.c2, pair_block(ds.m, EXPECTED_MEMBERS[key]))
         assert int(r.a2.sum()) == EXPECTED_A2_ONES[key]
@@ -313,10 +314,30 @@ def test_truncated_trace_runs_the_rest_untraced(worked):
     cut = _CountingTrace(max_steps=10)
     run = run_qam_circuit(ds, given, trace=cut)
     assert _circuit_fields(run) == _circuit_fields(untraced)
+    assert to_analogical_set(run, ds).verdicts == to_analogical_set(untraced, ds).verdicts
     assert cut.truncated and len(cut.steps) == 10
     assert sum(cut.tally.values()) == 16_044
     # the pair arrays and the first mask are traced; the other seven masks run as lanes
     assert cut.calls < 16_044 // 4
+
+
+def test_readback_unpacks_only_the_pair_arrays(worked, monkeypatch):
+    ds, given = worked
+    calls = []
+    unpack = gates._lane_matrices
+    monkeypatch.setattr(gates, "_lane_matrices", lambda *args: calls.append(args) or unpack(*args))
+    run = run_qam_circuit(ds, given)
+    aset = to_analogical_set(run, ds)
+    predict_distribution(aset)
+    assert aset.outcome_counts == EXPECTED_COUNTS
+    assert [v.members for v in aset.verdicts] == [
+        EXPECTED_MEMBERS[bits_to_str(v.mask)] for v in aset.verdicts
+    ]
+    # V2, W2 and P2; the per-mask C2, H2 and A2 stay lane words
+    assert len(calls) == 3
+    # the first read unpacks C2, H2 and A2; a second read reuses them
+    assert run.results is run.results
+    assert len(run.results) == 8 and len(calls) == 6
 
 
 # --- the lane engine -----------------------------------------------------------------
@@ -341,7 +362,7 @@ def _circuit_fields(run):
     return (
         [matrix.tolist() for matrix in (run.v2, run.w2, run.p2)],
         [(r.mask, r.c2.tolist(), r.h2.tolist(), r.a2.tolist(), r.homogeneous, r.ancillas_restored)
-         for r in run],
+         for r in run.results],
     )
 
 
@@ -373,8 +394,8 @@ def test_lanes_match_traced_mask_by_mask():
 def test_lanes_restore_every_ancilla():
     for ds, given in _lane_instances():
         run = run_qam_circuit(ds, given)
-        assert len(run) == 2 ** ds.n
-        assert all(r.ancillas_restored is True for r in run)
+        assert len(run.results) == 2 ** ds.n
+        assert all(r.ancillas_restored is True for r in run.results)
 
 
 def test_restoration_check_is_per_lane():

@@ -1,5 +1,6 @@
 """Homogeneity criteria, pointer counting, and the outcome distribution."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from analogical import (
     AnalogicalSet,
     Dataset,
+    GateTrace,
     NoAnalogicalSupportError,
     OutcomeDistribution,
     analogical_set,
@@ -23,7 +25,9 @@ from analogical import (
     most_likely_outcome,
     pointer_heterogeneity_matrix,
     predict_distribution,
+    run_qam_circuit,
     sample_outcome,
+    to_analogical_set,
     two_step_distribution,
 )
 from analogical.homogeneity import _pointer_sums
@@ -207,7 +211,18 @@ def test_one_step_equals_two_step():
         assert predict_distribution(aset).probabilities == two_step_distribution(aset).probabilities
 
 
-# --- the subset-sum engine against the per-mask oracles ---------------------
+# --- both engines' lazy verdicts against the per-mask oracles ---------------
+
+# each engine hands out its verdicts through the same lazy sequence; a gate
+# run whose trace is truncated must read back exactly like an untraced one
+ENGINES = {
+    "fast": analogical_set,
+    "gates": lambda ds, given: to_analogical_set(run_qam_circuit(ds, given), ds),
+    "gates-truncated-trace": lambda ds, given: to_analogical_set(
+        run_qam_circuit(ds, given, trace=GateTrace(max_steps=10)), ds
+    ),
+}
+
 
 def _oracle_instances(rng: random.Random, count: int):
     """Random instances up to n=6 and 3 outcomes, each with a duplicated
@@ -219,10 +234,11 @@ def _oracle_instances(rng: random.Random, count: int):
         yield Dataset.from_pairs(pairs[:1]), given
 
 
-def test_lazy_verdicts_match_per_mask_oracles():
+@pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES)
+def test_lazy_verdicts_match_per_mask_oracles(engine):
     rng = random.Random(2007)
     for ds, given in _oracle_instances(rng, 60):
-        aset = analogical_set(ds, given)
+        aset = engine(ds, given)
         verdicts = list(aset.verdicts)
         assert [v.mask for v in verdicts] == list(iter_masks(ds.n))
         counts = {o: 0 for o in ds.outcome_order}
@@ -242,16 +258,21 @@ def test_lazy_verdicts_match_per_mask_oracles():
         assert aset.verdicts == tuple(verdicts)
 
 
-def test_lazy_verdicts_sequence_protocol(worked):
+@pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES)
+def test_lazy_verdicts_sequence_protocol(worked, engine):
     ds, given = worked
-    verdicts = analogical_set(ds, given).verdicts
+    verdicts = engine(ds, given).verdicts
     assert len(verdicts) == 8
     assert [bits_to_str(v.mask) for v in verdicts[1:3]] == ["110", "101"]
     assert bits_to_str(verdicts[-1].mask) == "000"
+    assert verdicts[np.int64(2)] == verdicts[2]
+    assert pickle.loads(pickle.dumps(verdicts)) == verdicts
     with pytest.raises(IndexError):
         verdicts[8]
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="index -9 out of range"):
         verdicts[-9]
+    with pytest.raises(TypeError):
+        verdicts[1.5]
 
 
 def test_wide_lattice_without_the_walk():
