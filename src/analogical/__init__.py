@@ -35,7 +35,6 @@ from .core import (
     parse_dataset,
     serialize_dataset,
     str_to_bits,
-    subcontext_key,
 )
 from .gates import (
     BitRegister,
@@ -102,7 +101,6 @@ __all__ = [
     "parse_dataset",
     "serialize_dataset",
     "str_to_bits",
-    "subcontext_key",
     "BitRegister",
     "GateTrace",
     "build_analogy_array",

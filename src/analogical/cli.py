@@ -30,7 +30,7 @@ from .core import (
     FeatureVector,
     LatticeSizeError,
     bits_to_str,
-    difference_vector,
+    encode,
     load_dataset,
 )
 from .gates import GateTrace, run_qam_circuit, to_analogical_set
@@ -208,7 +208,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     ds, given = _load(args)
     aset = _build_set(args, ds, given)
     dist = predict_distribution(aset)
-    keys = [bits_to_str(difference_vector(e.context, given)) for e in ds.exemplars]
+    keys = [format(d, f"0{ds.n}b") for d in encode(ds, given)[0].tolist()]
     p2 = pointer_heterogeneity_matrix(ds, given)
     records = [_explain_record(v, keys, p2) for v in aset.verdicts]
 

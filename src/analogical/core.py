@@ -10,15 +10,20 @@ sharing an identical difference vector form one subcontext.
 
 Feature comparison is exact symbol equality per position.  There is no
 similarity metric, feature weighting, or missing-value handling.
+
+:func:`encode` alone turns a given context into what the engines and reports
+read; the per-exemplar functions below stay as the oracles it is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib.resources import files
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 FeatureVector = tuple[str, ...]
 Bits = tuple[int, ...]
@@ -157,7 +162,8 @@ def serialize_dataset(ds: Dataset) -> str:
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would join the first label
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
@@ -182,15 +188,6 @@ def difference_vector(e: Sequence[str], given: Sequence[str]) -> Bits:
     if len(e) != len(given):
         raise ValueError(f"length mismatch: {len(e)} vs {len(given)}")
     return tuple(0 if a == b else 1 for a, b in zip(e, given))
-
-
-def subcontext_key(d: Bits) -> Bits:
-    """Subcontext identity of a difference vector.
-
-    Two exemplars share a subcontext exactly when their full difference
-    vectors are equal, so the key is the vector itself.
-    """
-    return tuple(d)
 
 
 def contains(mask: Sequence[int], d: Sequence[int]) -> bool:
@@ -219,6 +216,24 @@ def bits_to_int(bits: Sequence[int]) -> int:
     for b in bits:
         value = (value << 1) | (b & 1)
     return value
+
+
+def encode(ds: Dataset, given: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Packed difference vectors and outcome positions, aligned with ``ds.exemplars``.
+
+    Vectors pack as :func:`bits_to_int` packs them; outcomes index ``ds.outcome_order``.
+    Features compare as Python objects with ``==``, as in :func:`difference_vector`.
+    """
+    given = tuple(given)
+    if len(given) != ds.n:
+        raise ValueError(f"length mismatch: {ds.n} vs {len(given)}")
+    cells = np.fromiter(chain.from_iterable(e.context for e in ds.exemplars), object, ds.m * ds.n)
+    same = cells.reshape(ds.m, ds.n) == np.fromiter(given, object, ds.n)
+    # past 62 features the packed ints outgrow int64 and stay Python ints
+    weights = np.array([1 << i for i in reversed(range(ds.n))], np.int64 if ds.n < 63 else object)
+    seen: dict[str, int] = {}
+    outcomes = [seen.setdefault(e.outcome, len(seen)) for e in ds.exemplars]
+    return ~same @ weights, np.array(outcomes, dtype=np.intp)
 
 
 def int_to_bits(value: int, n: int) -> Bits:

@@ -49,7 +49,7 @@ from .core import (
     Dataset,
     bits_to_str,
     check_lattice_size,
-    difference_vector,
+    encode,
     int_to_bits,
     iter_masks,
 )
@@ -428,12 +428,12 @@ def build_containment_array(
     ds: Dataset, given: Sequence[str], mask: Sequence[int], trace: GateTrace | None = None
 ) -> np.ndarray:
     """C2 for one supracontext: C2(j, j') = contained(j) AND contained(j')."""
+    d_ints, _ = encode(ds, given)
     uid = next(_fresh)
     pfx = f"cont{uid}."
     s_reg = BitRegister(pfx + "S", mask)
     d_regs = [
-        BitRegister(f"{pfx}D[{e.index}]", difference_vector(e.context, given))
-        for e in ds.exemplars
+        BitRegister(f"{pfx}D[{j}]", int_to_bits(d, ds.n)) for j, d in enumerate(d_ints.tolist(), 1)
     ]
     y_reg = BitRegister.zeros(pfx + "Y", 1)
     z_reg = BitRegister.zeros(pfx + "Z", 1)
@@ -548,13 +548,6 @@ class CircuitRun:
         ])
 
 
-def _outcome_codes(ds: Dataset) -> dict[str, Bits]:
-    """Fixed-width binary code per outcome label, first appearance first."""
-    order = ds.outcome_order
-    width = max(1, (len(order) - 1).bit_length())
-    return {o: int_to_bits(i, width) for i, o in enumerate(order)}
-
-
 def _supracontext_circuits(
     masks: Sequence[Bits],
     d_regs: Sequence[BitRegister],
@@ -619,13 +612,12 @@ def run_qam_circuit(
     """
     check_lattice_size(ds.n, n_cap)
     m = ds.m
-    codes = _outcome_codes(ds)
+    d_ints, outcomes = encode(ds, given)
+    # each outcome's index in a fixed-width binary code, first appearance first
+    width = max(1, int(outcomes.max()).bit_length())
 
-    d_regs = [
-        BitRegister(f"D[{e.index}]", difference_vector(e.context, given))
-        for e in ds.exemplars
-    ]
-    o_regs = [BitRegister(f"O[{e.index}]", codes[e.outcome]) for e in ds.exemplars]
+    d_regs = [BitRegister(f"D[{j}]", int_to_bits(d, ds.n)) for j, d in enumerate(d_ints.tolist(), 1)]
+    o_regs = [BitRegister(f"O[{j}]", int_to_bits(o, width)) for j, o in enumerate(outcomes.tolist(), 1)]
     v2_reg = BitRegister.ones("V2", m * m)
     w2_reg = BitRegister.ones("W2", m * m)
     p2_reg = BitRegister.zeros("P2", m * m)

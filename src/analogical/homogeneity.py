@@ -41,9 +41,9 @@ from .core import (
     check_lattice_size,
     contained_exemplars,
     difference_vector,
+    encode,
     iter_masks,
     mask_at,
-    subcontext_key,
 )
 
 
@@ -117,22 +117,15 @@ class OutcomeDistribution:
             raise ValueError(f"probabilities sum to {sum(probs.values())}, not 1")
 
 
-def _difference_ints(ds: Dataset, given: Sequence[str]) -> list[int]:
-    return [bits_to_int(difference_vector(e.context, given)) for e in ds.exemplars]
-
-
 def pointer_heterogeneity_matrix(ds: Dataset, given: Sequence[str]) -> np.ndarray:
     """m x m matrix with 1 where an ordered exemplar pair would be heterogeneous.
 
     Entry (j, j') is 1 iff exemplars j and j' have different difference
     vectors and different outcomes.  Symmetric with a zero diagonal; it
-    does not depend on any supracontext mask.
+    does not depend on any supracontext mask.  Built from :func:`encode`.
     """
-    dv = np.array([difference_vector(e.context, given) for e in ds.exemplars], dtype=np.uint8)
-    sub_differs = (dv[:, None, :] != dv[None, :, :]).any(axis=2)
-    outcomes = np.array([e.outcome for e in ds.exemplars], dtype=object)
-    outcome_differs = outcomes[:, None] != outcomes[None, :]
-    return (sub_differs & outcome_differs).astype(np.uint8)
+    d_ints, outcomes = encode(ds, given)
+    return ((d_ints[:, None] != d_ints) & (outcomes[:, None] != outcomes)).astype(np.uint8)
 
 
 def is_homogeneous_pointer(ds: Dataset, given: Sequence[str], mask: Sequence[int]) -> bool:
@@ -169,7 +162,7 @@ def is_homogeneous_disagreement(ds: Dataset, given: Sequence[str], mask: Sequenc
 def _member_summary(ds: Dataset, given: Sequence[str], mask: Sequence[int]):
     """Subcontext keys and outcomes of the supracontext's members, aligned."""
     members = [ds.exemplars[j - 1] for j in contained_exemplars(ds, given, mask)]
-    keys = [subcontext_key(difference_vector(e.context, given)) for e in members]
+    keys = [difference_vector(e.context, given) for e in members]
     return keys, [e.outcome for e in members]
 
 
@@ -226,19 +219,17 @@ def analogical_set(
     all k(c) = sum_o N_o(c) members; homogeneous supracontexts contribute
     k * N_o pointers to outcome o, k^2 in total.  The cost is
     O((outcomes + 1) * n * 2^n) time and about (outcomes + 2) * 8 * 2^n
-    bytes, independent of m after bucketing.
+    bytes, independent of m after bucketing by :func:`encode`'s arrays.
 
     ``verdicts`` lists one verdict per mask, most specific first; each is
     built only when read.
     """
     check_lattice_size(ds.n, n_cap)
     order = ds.outcome_order
-    outcome_index = {o: i for i, o in enumerate(order)}
-    d_ints = _difference_ints(ds, given)
+    d_ints, outcomes = encode(ds, given)
 
-    size = 1 << ds.n
-    sums = np.zeros((len(order) + 1, size), dtype=np.int64)
-    np.add.at(sums, ([outcome_index[e.outcome] for e in ds.exemplars], d_ints), 1)
+    sums = np.zeros((len(order) + 1, 1 << ds.n), dtype=np.int64)
+    np.add.at(sums, (outcomes, d_ints), 1)
     sums[-1, d_ints] = 1
     for bit in range(ds.n):
         halves = sums.reshape(len(order) + 1, -1, 2, 1 << bit)
@@ -253,7 +244,7 @@ def analogical_set(
     k[~homogeneous] = 0
     counts, total = _pointer_sums(k, per_outcome, ds.m)
     return AnalogicalSet(
-        verdicts=_LatticeVerdicts(ds, partial(_subset_read, d_ints, homogeneous)),
+        verdicts=_LatticeVerdicts(ds, partial(_subset_read, d_ints.tolist(), homogeneous)),
         outcome_counts=dict(zip(order, counts)),
         total_pointers=total,
     )

@@ -80,8 +80,8 @@ def agreement(probabilities: dict):
 class TabulatedDensity:
     """A probability density sampled on a strictly increasing grid.
 
-    The tabulated values must be nonnegative and integrate to 1 within
-    ``tol`` under the trapezoid rule on the same grid.
+    Grid and values must be finite, and the values nonnegative, integrating
+    to 1 within ``tol`` under the trapezoid rule on the same grid.
     """
 
     grid: np.ndarray
@@ -99,6 +99,9 @@ class TabulatedDensity:
             )
         if self.grid.size < 2:
             raise InvalidDistributionError("need at least two grid points")
+        # NaN fails every comparison below, so it would pass them all
+        if not (np.isfinite(self.grid).all() and np.isfinite(self.values).all()):
+            raise InvalidDistributionError("grid points and density values must be finite")
         if not np.all(np.diff(self.grid) > 0):
             raise InvalidDistributionError("grid must be strictly increasing")
         if np.any(self.values < 0):
@@ -123,7 +126,7 @@ def read_density_file(path) -> TabulatedDensity:
     """
     grid = []
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:

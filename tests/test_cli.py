@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, formats, and exit codes."""
 
+import codecs
 import json
 from fractions import Fraction
 
@@ -337,6 +338,32 @@ def test_exit_code_density_not_utf8(tmp_path, capsys):
     assert code == cli.EXIT_FORMAT
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    text = b"x\ta b\ny\ta c\nx\tb b\n"
+    for name, data in (("plain.tsv", text), ("bom.tsv", codecs.BOM_UTF8 + text)):
+        (tmp_path / name).write_bytes(data)
+    outputs = [
+        run_cli(capsys, "predict", "--dataset", str(tmp_path / name), "--given", "a b")
+        for name in ("plain.tsv", "bom.tsv")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].startswith("x 1, y 0 (")
+
+    density = b"0 0.5\n1 0.5\n2 0.5\n"
+    (tmp_path / "density.txt").write_bytes(codecs.BOM_UTF8 + density)
+    code, out, err = run_cli(capsys, "measures", "--density", str(tmp_path / "density.txt"))
+    assert (code, out, err) == (0, "Z' = 0.5\n", "")
+
+
+def test_exit_code_density_not_finite(tmp_path, capsys):
+    path = tmp_path / "density.txt"
+    path.write_text("0 nan\n1 1\n2 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "measures", "--density", str(path))
+    assert code == cli.EXIT_FORMAT
+    assert out == ""
+    assert "finite" in err and len(err.splitlines()) == 1
 
 
 def test_exit_code_given_mismatch(worked_path, capsys):

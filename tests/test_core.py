@@ -1,5 +1,9 @@
 """Dataset parsing, difference vectors, masks, and bit helpers."""
 
+import codecs
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given as hgiven
 from hypothesis import strategies as st
@@ -9,20 +13,25 @@ from analogical import (
     Dataset,
     DatasetFormatError,
     LatticeSizeError,
+    analogical_set,
     bits_to_int,
     bits_to_str,
+    build_containment_array,
     check_lattice_size,
     contained_exemplars,
     contains,
     difference_vector,
     int_to_bits,
     iter_masks,
+    load_dataset,
     parse_dataset,
+    pointer_heterogeneity_matrix,
+    predict_distribution,
+    run_qam_circuit,
     serialize_dataset,
     str_to_bits,
-    subcontext_key,
 )
-from analogical.core import mask_at
+from analogical.core import encode, mask_at
 from helpers import EXPECTED_D
 
 
@@ -109,6 +118,16 @@ def test_from_pairs_rejects_empty():
         Dataset.from_pairs([])
 
 
+def test_load_dataset_ignores_byte_order_mark(tmp_path):
+    text = "x\ta b\ny\ta c\nx\tb b\n"
+    plain, bom = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    ds = load_dataset(bom)
+    assert ds == load_dataset(plain)
+    assert ds.outcome_order == ("x", "y")
+
+
 # --- difference vectors and containment --------------------------------------
 
 def test_worked_difference_vectors(worked):
@@ -126,8 +145,82 @@ def test_difference_vector_length_mismatch():
         difference_vector(("a",), ("a", "b"))
 
 
-def test_subcontext_key_is_the_vector():
-    assert subcontext_key((1, 0, 1)) == (1, 0, 1)
+# --- encode -------------------------------------------------------------------
+
+# "a" is a prefix of "ab"; the int 1 and the string "1" are different symbols
+SYMBOLS = ("a", "ab", "b", "1", 1, 2)
+UNSEEN = ("zz", 3)  # given symbols that no exemplar uses
+
+
+def encode_oracle(ds, given):
+    return (
+        [bits_to_int(difference_vector(e.context, given)) for e in ds.exemplars],
+        [ds.outcome_order.index(e.outcome) for e in ds.exemplars],
+    )
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_encode_matches_per_exemplar_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    pairs = [
+        (tuple(rng.choice(SYMBOLS) for _ in range(n)), rng.choice("xyz"))
+        for _ in range(rng.randint(1, 12))
+    ]
+    pairs += rng.choices(pairs, k=rng.randint(1, 4))  # duplicate exemplars
+    rng.shuffle(pairs)
+    ds = Dataset.from_pairs(pairs)
+    given = [rng.choice(SYMBOLS + UNSEEN) for _ in range(n)]
+    expected = encode_oracle(ds, given)
+    for form in (given, tuple(given)):
+        d_ints, outcomes = encode(ds, form)
+        assert (d_ints.tolist(), outcomes.tolist()) == expected
+        assert d_ints.dtype.kind == outcomes.dtype.kind == "i"
+
+
+def test_encode_given_as_str():
+    ds = Dataset.from_pairs([(("a", "b"), "x"), (("ab", "b"), "y"), (("a", "a"), "x")])
+    for given in ("ab", ["a", "b"], ("a", "b")):
+        d_ints, outcomes = encode(ds, given)
+        assert d_ints.tolist() == [0b00, 0b10, 0b01]
+        assert outcomes.tolist() == [0, 1, 0]
+    assert encode(ds, "zb")[0].tolist() == encode_oracle(ds, "zb")[0] == [0b10, 0b10, 0b11]
+
+
+def test_encode_packs_past_int64():
+    n = 70
+    ds = Dataset.from_pairs([(("a",) * n, "x"), (("b",) * n, "y")])
+    given = ("b",) + ("a",) * (n - 1)
+    assert encode(ds, given)[0].tolist() == encode_oracle(ds, given)[0] == [1 << 69, (1 << 69) - 1]
+
+
+def test_int_and_str_features_differ():
+    ds = Dataset.from_pairs([(("a", 1), "x"), (("a", "1"), "y"), (("b", 2), "y")])
+    given = ("a", "1")
+    assert encode(ds, given)[0].tolist() == [0b01, 0b00, 0b11]
+    # were 1 and "1" coerced to one string, exemplars 1 and 2 would share a
+    # subcontext, and x would get 1/2
+    dist = predict_distribution(analogical_set(ds, given))
+    assert dist.probabilities == {"x": Fraction(0), "y": Fraction(1)}
+
+
+@pytest.mark.parametrize("given", [("o",), ("o", "m"), ("o", "m", "a", "x"), "om"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        encode,
+        analogical_set,
+        pointer_heterogeneity_matrix,
+        run_qam_circuit,
+        lambda ds, given: build_containment_array(ds, given, (1, 0, 1)),
+    ],
+    ids=["encode", "analogical_set", "pointer_heterogeneity_matrix", "run_qam_circuit",
+         "build_containment_array"],
+)
+def test_wrong_length_given_raises(worked, call, given):
+    ds, _ = worked
+    with pytest.raises(ValueError, match="length mismatch"):
+        call(ds, given)
 
 
 @hgiven(

@@ -1,5 +1,6 @@
 """Entropy, disagreement, agreement, and the squared-density quadrature."""
 
+import codecs
 import math
 import random
 from fractions import Fraction
@@ -144,6 +145,19 @@ def test_density_validation():
     TabulatedDensity(np.array([0.0, 1.0]), np.array([3.0, 3.0]), tol=2.5)
 
 
+def test_density_rejects_non_finite():
+    grid = np.array([0.0, 1.0, 2.0])
+    # NaN fails every comparison, so each check on its own would let it pass
+    with pytest.raises(InvalidDistributionError, match="finite"):
+        TabulatedDensity(grid, np.array([np.nan, 1.0, 0.0]))
+    with pytest.raises(InvalidDistributionError, match="finite"):
+        TabulatedDensity(grid, np.array([0.0, np.inf, 0.0]), tol=np.inf)
+    with pytest.raises(InvalidDistributionError):
+        TabulatedDensity(np.array([0.0, 1.0, np.nan]), np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(InvalidDistributionError):
+        TabulatedDensity(np.array([0.0, 1.0, np.inf]), np.array([1.0, 0.0, 0.0]))
+
+
 def test_read_density_file(tmp_path):
     path = tmp_path / "density.txt"
     grid = np.linspace(0.0, 1.0, 1001)
@@ -152,6 +166,15 @@ def test_read_density_file(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     density = read_density_file(path)
     assert abs(agreement_density(density) - 4.0 / 3.0) < 1e-5
+
+
+def test_read_density_file_ignores_byte_order_mark(tmp_path):
+    text = b"0 0\n1 1\n2 0\n"
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_bytes(text)
+    bom.write_bytes(codecs.BOM_UTF8 + text)
+    a, b = read_density_file(plain), read_density_file(bom)
+    assert np.array_equal(a.grid, b.grid) and np.array_equal(a.values, b.values)
 
 
 def test_read_density_file_rejects_bad_lines(tmp_path):
