@@ -343,6 +343,8 @@ def cmd_measures(args: argparse.Namespace) -> int:
         raise InvalidDistributionError(
             "give either inline label:prob pairs or --dataset/--given, not both"
         )
+    if args.given is not None and not args.dataset:
+        raise InvalidDistributionError("--given needs --dataset")
     if args.pairs:
         probs = _parse_inline_distribution(args.pairs)
     elif args.dataset:

@@ -30,8 +30,10 @@ Bits = tuple[int, ...]
 
 # The fast engine's subset sums take O((outcomes + 1) * n * 2^n) time and
 # about (outcomes + 2) * 8 * 2^n bytes: 640 MiB at n = 24 with 3 outcomes.
-# Per-mask verdicts (explain, two-step prediction) and the gate engine
-# still walk all 2^n masks in Python.  Refuse larger n by default.
+# Per-mask verdicts (explain, two-step prediction) still walk all 2^n masks
+# in Python.  The gate engine holds C2, H2 and A2 as 3 * m^2 lane words of
+# 2^n bits each, plus about 4n + 5 words of m * 2^n bits for the (mask, j')
+# lanes of its containment scan.  Refuse larger n by default.
 DEFAULT_N_CAP = 24
 
 WORKED_EXAMPLE_GIVEN: FeatureVector = ("o", "m", "a")

@@ -16,14 +16,34 @@ Since no gate depends on the data, all 2^n per-mask circuits run as one
 bit-sliced circuit.  Every per-mask register bit is a Python int holding
 one bit per mask (a "lane"), and each gate acts on all lanes at once:
 NOT is ``x ^= ALL``, CNOT ``t ^= c`` and Toffoli ``t ^= a & b``, where
-ALL = 2^L - 1 for L lanes.  Registers shared by every mask (D, V2, W2,
-P2) are broadcast to 0 or ALL.  The gate sequence, and so every per-mask
-gate count, is the one a single mask would run.  With a :class:`GateTrace`
-attached the masks run one at a time on a single lane, so every recorded
-step acts on plain 0/1 bits; once the trace is full the remaining masks
-run as lanes again.  Results do not depend on the lane width.  The run
-keeps its outputs as lane words: the analogical set is read straight off
-them, and per-mask matrices are unpacked only when a caller asks for them.
+ALL = 2^L - 1 for L lanes.  Registers shared by every mask (D, P2) are
+broadcast to 0 or ALL.  The gate sequence, and so every per-mask gate
+count, is the one a single mask would run.  The run keeps its outputs as
+lane words: the analogical set is read straight off them, and per-mask
+matrices are unpacked only when a caller asks for them.
+
+Two more loops run as lanes the same way.  The m^2 comparators behind V2
+(and W2) each have fresh scratch and write only their own entry, so they
+run as one comparator over m^2 pair lanes: lane j*m + j' holds D[j] (O[j])
+as u, D[j'] (O[j']) as v and V2(j, j') (W2(j, j')) as the flag; P2 is one
+Toffoli over the same lanes.  In the containment scan, for a fixed j the
+inner iterations over j' (test D[j'] into Z, Toffoli Y, Z into C2(j, j'),
+test again) run as (mask, j') lanes: every word is m blocks of L mask
+lanes, S and Y are copied into every block, block j' holds D[j'], and the
+C2 row and the restoration checks are split back per block.  This applies
+to every mask exactly the gates of the serial loop, in another
+interleaving: the iterations only read S, D[j'] and Y, none of which the
+loop writes; each one returns Z to the value it found (the comparator is
+a palindrome, so its second application undoes the first flip); and
+iteration j' writes only C2(j, j').  So the iterations commute, and
+running them side by side on m copies of Z gives each mask the same
+gates, the same per-mask gate count and the same final registers.
+
+With a :class:`GateTrace` attached the items of each loop (pairs, masks,
+and j' within a mask) run one at a time on plain 0/1 bits, so every
+recorded step is the one the serial circuit applies; once the trace is
+truncated the items left run as lanes, and ``trace.tally`` counts each of
+their lane gates once per item.  Results do not depend on the lane width.
 
 Matrix registers are kept flat in row-major order: entry (j, j') of an
 m x m array lives at position k = (j - 1) * m + j', with j, j' and k
@@ -357,12 +377,69 @@ def gate_inclusion_inverse(mask, d, ancilla: int, flag: int, trace: GateTrace | 
 # step on lane words, one lane per mask; the public builders below run the
 # same step on a single lane.
 
-def _lane_matrices(words: Sequence[int], lanes: int, m: int) -> np.ndarray:
-    """Unpack a flat m*m register of lane words into a (lanes, m, m) uint8 array."""
+def _unpack_lanes(words: Sequence[int], lanes: int) -> np.ndarray:
+    """Unpack lane words into a (lanes, len(words)) uint8 array: entry (l, i) is bit l of word i."""
     width = (lanes + 7) // 8
     packed = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words), dtype=np.uint8)
     bits = np.unpackbits(packed.reshape(len(words), width), axis=1, count=lanes, bitorder="little")
-    return np.ascontiguousarray(bits.T).reshape(lanes, m, m)
+    return np.ascontiguousarray(bits.T)
+
+
+def _pack_lanes(bits) -> list[int]:
+    """Pack a (lanes, k) 0/1 array into k lane words; the inverse of :func:`_unpack_lanes`."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8).T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _lane_matrices(words: Sequence[int], lanes: int, m: int) -> np.ndarray:
+    """Unpack a flat m*m register of lane words into a (lanes, m, m) uint8 array."""
+    return _unpack_lanes(words, lanes).reshape(lanes, m, m)
+
+
+class _LaneTally:
+    """Stands in for a truncated trace while the items left of a step run as lanes.
+
+    Every item runs the same gates, so one gate on the lane words is one gate
+    per item: :meth:`record` adds it to the trace's tally that many times.
+    """
+
+    truncated = True
+
+    def __init__(self, trace: "GateTrace | _LaneTally", items: int):
+        self.tally = trace.tally
+        self.per_gate = items * (trace.per_gate if isinstance(trace, _LaneTally) else 1)
+
+    def track(self, reg: _Lanes) -> None:
+        pass
+
+    def record(self, op: str, operands, before: int, after: int) -> None:
+        self.tally[op] += self.per_gate
+
+
+def _run_items(count: int, one, lanes, trace: GateTrace | None) -> None:
+    """Run items 0..count-1 of a step: one at a time while ``trace`` records, the rest as lanes.
+
+    ``one(i, trace)`` runs item i on its own registers and ``lanes(start,
+    trace)`` runs items start..count-1 side by side, one lane each.  Without
+    a trace every item runs as a lane; once the trace is truncated the items
+    left run as lanes and their gates go to ``trace.tally`` once per item.
+    """
+    start = 0
+    while trace is not None and not trace.truncated and start < count:
+        one(start, trace)
+        start += 1
+    if start < count:
+        lanes(start, None if trace is None else _LaneTally(trace, count - start))
+
+
+def _entry_lanes(reg: _Lanes, start: int) -> _Lanes:
+    """Entries start.. of a flat bit register as one word, lane i holding entry start + i."""
+    return _Lanes(reg.name, _pack_lanes(np.array(reg.bits[start:], dtype=np.uint8)[:, None]))
+
+
+def _store_entries(reg: _Lanes, start: int, word: _Lanes) -> None:
+    """Write the lanes of ``word`` back into entries start.. of ``reg``; undoes :func:`_entry_lanes`."""
+    reg._bits[start:] = _unpack_lanes(word, len(reg) - start)[:, 0].tolist()
 
 
 def _matrix_register(name: str, matrix, trace: GateTrace | None) -> tuple[BitRegister, int]:
@@ -386,26 +463,105 @@ def _containment_scan(
 ) -> int:
     """Fill C2 via nested containment tests, uncomputing each test after use.
 
+    ``d_regs`` hold each exemplar's difference bits, shared by every lane.
     C2(j, j') becomes 1 iff both difference vectors are in the supracontext.
-    Returns the word of lanes in which an ancilla or either flag register
-    did not come back to its preset (0 when every lane is restored).
+    For each j the inner tests over j' run as (mask, j') lanes: block b of
+    each wide word holds the mask lanes of j' = start + b (see the module
+    docstring for why that applies the same gates).  Returns the word of
+    lanes in which an ancilla or either flag register did not come back to
+    its preset (0 when every lane is restored).
     """
     m = len(d_regs)
+    width = ones.bit_length()  # mask lanes per j' block
+    d_bits = np.array([d.bits for d in d_regs], dtype=np.uint8)
+    d_lanes = [_Lanes(d.name, [b * ones for b in d]) for d in d_regs]
+    tiles: dict[int, tuple[_Lanes, _Lanes, int, int]] = {}
     bad = 0
+
+    def tiled(start: int) -> tuple[_Lanes, _Lanes, int, int]:
+        # S copied into every j' block, D[j'] broadcast over block j' - start
+        if start not in tiles:
+            rep = sum(1 << b * width for b in range(m - start))
+            tiles[start] = (
+                _Lanes(s_reg.name, [w * rep for w in s_reg]),
+                _Lanes("D[j']", _pack_lanes(np.repeat(d_bits[start:], width, axis=0))),
+                ones * rep,
+                rep,
+            )
+        return tiles[start]
+
     for j in range(m):
-        bad |= ones ^ _comparator_apply("and", s_reg, d_regs[j], ones, y_reg, 0, ones, trace)
-        for jp in range(m):
-            bad |= ones ^ _comparator_apply("and", s_reg, d_regs[jp], ones, z_reg, 0, ones, trace)
-            _ccnot(y_reg, 0, z_reg, 0, c2_reg, j * m + jp, trace)
-            bad |= ones ^ _comparator_apply("and", s_reg, d_regs[jp], ones, z_reg, 0, ones, trace)
+        row = j * m
+
+        def one(jp: int, trace) -> None:
+            nonlocal bad
+            bad |= ones ^ _comparator_apply("and", s_reg, d_lanes[jp], ones, z_reg, 0, ones, trace)
+            _ccnot(y_reg, 0, z_reg, 0, c2_reg, row + jp, trace)
+            bad |= ones ^ _comparator_apply("and", s_reg, d_lanes[jp], ones, z_reg, 0, ones, trace)
             bad |= z_reg._bits[0]
-        bad |= ones ^ _comparator_apply("and", s_reg, d_regs[j], ones, y_reg, 0, ones, trace)
+
+        def lanes(start: int, trace) -> None:
+            nonlocal bad
+            s_t, d_t, all_t, rep = tiled(start)
+            y_t = _Lanes(y_reg.name, [y_reg[0] * rep])
+            z_t = _Lanes(z_reg.name, [z_reg[0] * rep])
+            blocks = range(m - start)
+            c_t = _Lanes(c2_reg.name, [sum(c2_reg[row + start + b] << b * width for b in blocks)])
+            bad_t = all_t ^ _comparator_apply("and", s_t, d_t, all_t, z_t, 0, all_t, trace)
+            _ccnot(y_t, 0, z_t, 0, c_t, 0, trace)
+            bad_t |= all_t ^ _comparator_apply("and", s_t, d_t, all_t, z_t, 0, all_t, trace)
+            bad_t |= z_t[0]
+            for b in blocks:
+                c2_reg._bits[row + start + b] = c_t[0] >> b * width & ones
+                bad |= bad_t >> b * width & ones
+
+        bad |= ones ^ _comparator_apply("and", s_reg, d_lanes[j], ones, y_reg, 0, ones, trace)
+        _run_items(m, one, lanes, trace)
+        bad |= ones ^ _comparator_apply("and", s_reg, d_lanes[j], ones, y_reg, 0, ones, trace)
         bad |= y_reg._bits[0]
     return bad
 
 
+def _pair_array(regs: Sequence[BitRegister], out_reg: BitRegister, trace: GateTrace | None) -> None:
+    """Flip out(j, j') iff regs[j] == regs[j'], one comparator per ordered pair (V2 from D, W2 from O).
+
+    The pairs run as m^2 lanes of one comparator: lane k - start carries pair
+    k = j * m + j', with regs[j] as u, regs[j'] as v and out(j, j') as the flag.
+    """
+    m = len(regs)
+
+    def one(k: int, trace) -> None:
+        _comparator_apply("xor", regs[k // m], regs[k % m], 1, out_reg, k, 1, trace)
+
+    def lanes(start: int, trace) -> None:
+        bits = np.array([r.bits for r in regs], dtype=np.uint8)
+        pairs = np.arange(start, m * m)
+        u = _Lanes(f"{out_reg.name}.u", _pack_lanes(bits[pairs // m]))
+        v = _Lanes(f"{out_reg.name}.v", _pack_lanes(bits[pairs % m]))
+        flag = _entry_lanes(out_reg, start)
+        ones = (1 << len(pairs)) - 1
+        _comparator_apply("xor", u, v, ones, flag, 0, ones, trace)
+        _store_entries(out_reg, start, flag)
+
+    _run_items(m * m, one, lanes, trace)
+
+
+def _and_entries(a_reg: BitRegister, b_reg: BitRegister, out_reg: BitRegister, trace: GateTrace | None) -> None:
+    """out ^= a AND b entrywise, one Toffoli per entry run as one lane each (P2 from V2/W2)."""
+
+    def one(k: int, trace) -> None:
+        _ccnot(a_reg, k, b_reg, k, out_reg, k, trace)
+
+    def lanes(start: int, trace) -> None:
+        out = _entry_lanes(out_reg, start)
+        _ccnot(_entry_lanes(a_reg, start), 0, _entry_lanes(b_reg, start), 0, out, 0, trace)
+        _store_entries(out_reg, start, out)
+
+    _run_items(len(out_reg), one, lanes, trace)
+
+
 def _and_array(a_reg: _Lanes, b_reg: _Lanes, out_reg: _Lanes, trace: GateTrace | None) -> None:
-    """out ^= a AND b entrywise, one Toffoli per entry (P2 from V2/W2, H2 from C2/P2)."""
+    """out ^= a AND b entrywise, one Toffoli per entry (H2 from C2/P2)."""
     for k in range(len(out_reg)):
         _ccnot(a_reg, k, b_reg, k, out_reg, k, trace)
 
@@ -566,10 +722,7 @@ def _supracontext_circuits(
     ones = (1 << lanes) - 1
     m2 = len(p2_reg)
     pfx = f"m{bits_to_str(masks[0])}." if lanes == 1 else "lanes."
-    s_reg = _Lanes(pfx + "S", [
-        sum(mask[i] << lane for lane, mask in enumerate(masks)) for i in range(len(masks[0]))
-    ])
-    d_lanes = [_Lanes(d.name, [b * ones for b in d]) for d in d_regs]
+    s_reg = _Lanes(pfx + "S", _pack_lanes(masks))
     p2_lanes = _Lanes(p2_reg.name, [b * ones for b in p2_reg])
     y_reg = _Lanes(pfx + "Y", [0])
     z_reg = _Lanes(pfx + "Z", [0])
@@ -581,7 +734,7 @@ def _supracontext_circuits(
         for reg in (s_reg, y_reg, z_reg, c2_reg, h2_reg, f_reg, a2_reg):
             trace.track(reg)
 
-    bad = _containment_scan(s_reg, d_lanes, y_reg, z_reg, c2_reg, ones, trace)
+    bad = _containment_scan(s_reg, d_regs, y_reg, z_reg, c2_reg, ones, trace)
     _and_array(c2_reg, p2_lanes, h2_reg, trace)
     _not_all(h2_reg, ones, trace)
     _ones_scan(h2_reg, f_reg, trace)
@@ -604,11 +757,12 @@ def run_qam_circuit(
 ) -> CircuitRun:
     """Run the full gate pipeline over all 2^n supracontexts.
 
-    Builds V2, W2, P2 once, then runs the per-mask circuit on all masks at
-    once, one lane each.  With a ``trace`` the masks run one at a time in
-    :func:`iter_masks` order, so the trace records every gate of every mask
-    on plain bits, until it is truncated: the masks left then run as lanes
-    with no trace, and ``trace.tally`` adds their gates.
+    Builds V2, W2, P2 once over m^2 pair lanes, then runs the per-mask
+    circuit on all masks at once, one lane each.  With a ``trace`` the pairs
+    and the masks run one at a time, masks in :func:`iter_masks` order, so
+    the trace records every gate on plain bits, until it is truncated: the
+    items left then run as lanes with no trace, and ``trace.tally`` adds
+    their gates.
     """
     check_lattice_size(ds.n, n_cap)
     m = ds.m
@@ -625,33 +779,21 @@ def run_qam_circuit(
         for reg in (*d_regs, *o_regs, v2_reg, w2_reg, p2_reg):
             trace.track(reg)
 
-    for j in range(m):
-        for jp in range(m):
-            _comparator_apply("xor", d_regs[j], d_regs[jp], 1, v2_reg, j * m + jp, 1, trace)
-    for j in range(m):
-        for jp in range(m):
-            _comparator_apply("xor", o_regs[j], o_regs[jp], 1, w2_reg, j * m + jp, 1, trace)
-    _and_array(v2_reg, w2_reg, p2_reg, trace)
+    _pair_array(d_regs, v2_reg, trace)
+    _pair_array(o_regs, w2_reg, trace)
+    _and_entries(v2_reg, w2_reg, p2_reg, trace)
 
     masks = list(iter_masks(ds.n))
-    if trace is None:
-        words = _supracontext_circuits(masks, d_regs, p2_reg, None)
-    else:
+    words = [0] * (3 * m * m + 2)
+
+    def run_masks(start: int, stop: int, trace: GateTrace | None) -> None:
         # each part's lane 0 is OR-ed in at the lane of its first mask
-        words = [0] * (3 * m * m + 2)
-        for i, mask in enumerate(masks):
-            before = trace.tally.copy()
-            part = _supracontext_circuits([mask], d_regs, p2_reg, trace)
-            words = [w | p << i for w, p in zip(words, part)]
-            if trace.truncated and i + 1 < len(masks):
-                # every mask runs the same gates, so the rest run as lanes
-                # untraced and add this mask's tally once per mask
-                rest = masks[i + 1:]
-                part = _supracontext_circuits(rest, d_regs, p2_reg, None)
-                words = [w | p << (i + 1) for w, p in zip(words, part)]
-                for op, count in (trace.tally - before).items():
-                    trace.tally[op] += count * len(rest)
-                break
+        part = _supracontext_circuits(masks[start:stop], d_regs, p2_reg, trace)
+        words[:] = [w | p << start for w, p in zip(words, part)]
+
+    _run_items(
+        len(masks), lambda i, t: run_masks(i, i + 1, t), lambda i, t: run_masks(i, len(masks), t), trace
+    )
     v2, w2, p2 = (_lane_matrices(reg, 1, m)[0] for reg in (v2_reg, w2_reg, p2_reg))
     c2, h2, a2 = (tuple(words[i * m * m:(i + 1) * m * m]) for i in range(3))
     return CircuitRun(v2, w2, p2, tuple(masks), c2, h2, a2, *words[-2:])
@@ -668,8 +810,14 @@ def to_analogical_set(run: CircuitRun, ds: Dataset) -> AnalogicalSet:
 
     Members come off the C2 diagonal words and homogeneity off the flag
     word as each verdict is read.  Outcome o's pointer count is the number
-    of set lanes in the A2 words of the columns j' with outcome o.
+    of set lanes in the A2 words of the columns j' with outcome o.  Raises
+    ``ValueError`` when ``run`` was not made from a dataset of the same shape.
     """
+    m, n = len(run.p2), len(run.masks[0])
+    if (m, n) != (ds.m, ds.n):
+        raise ValueError(
+            f"circuit run is for {m} exemplars and {n} features, dataset has {ds.m} and {ds.n}"
+        )
     counts: dict[str, int] = {o: 0 for o in ds.outcome_order}
     for k, word in enumerate(run.a2_words):
         counts[ds.exemplars[k % ds.m].outcome] += word.bit_count()

@@ -281,6 +281,15 @@ def test_measures_rejects_two_sources(worked_path, capsys):
     assert code == cli.EXIT_FORMAT
 
 
+def test_measures_given_needs_a_dataset(tmp_path, capsys):
+    path = tmp_path / "density.txt"
+    path.write_text("0 0\n1 1\n2 0\n")
+    for source in (["x:1/2", "y:1/2"], ["--density", str(path)], []):
+        code, out, err = run_cli(capsys, "measures", *source, "--given", "a b")
+        assert code == cli.EXIT_FORMAT, source
+        assert out == "" and "--given needs --dataset" in err
+
+
 def test_measures_malformed_pairs(capsys):
     for bad in ("y", "y:", ":0.5", "y:nope", "y:1/0"):
         code, _, err = run_cli(capsys, "measures", bad)

@@ -1,5 +1,6 @@
 """Reversible-gate engine: primitives, composites, traces, and the pipeline."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -298,6 +299,46 @@ def test_trace_tally_counts_every_gate(worked):
     assert cut.tally == full.tally
 
 
+# SHA-256 of repr([(op, operands, before, after), ...]) over every step of the
+# worked example's full trace, with the scratch-register numbering started at 0
+WORKED_TRACE_SHA256 = "185ce2e8b60604294530004c34755c013a9b2fb7487cf7dfe874d30d4ebf454e"
+
+
+def _numbered_trace(ds, given, monkeypatch, **kwargs):
+    """Run with a trace, numbering scratch registers from 0 so step operands repeat across runs."""
+    monkeypatch.setattr(gates, "_fresh", itertools.count())
+    trace = GateTrace(**kwargs)
+    return run_qam_circuit(ds, given, trace=trace), trace
+
+
+def _step_tuples(trace):
+    return [(s.op, s.operands, s.target_before, s.target_after) for s in trace.steps]
+
+
+def test_trace_steps_are_pinned(worked, monkeypatch):
+    ds, given = worked
+    _, trace = _numbered_trace(ds, given, monkeypatch)
+    assert not trace.truncated and len(trace.steps) == 16_044
+    digest = hashlib.sha256(repr(_step_tuples(trace)).encode()).hexdigest()
+    assert digest == WORKED_TRACE_SHA256
+
+
+def test_truncation_anywhere_keeps_results_steps_and_tally(worked, monkeypatch):
+    # cut points inside V2, W2 and P2 (steps 0-1259), inside the first mask's
+    # containment scan and sweep (1260-3107), and inside later masks
+    ds, given = worked
+    untraced = _circuit_fields(run_qam_circuit(ds, given))
+    _, full = _numbered_trace(ds, given, monkeypatch)
+    steps = _step_tuples(full)
+    for cut in (0, 1, 10, 30, 900, 1249, 1259, 1260, 1261, 1300, 1340, 1500, 2000, 2500,
+                3107, 3108, 3200, 5000, 16_043):
+        run, trace = _numbered_trace(ds, given, monkeypatch, max_steps=cut)
+        assert trace.truncated, cut
+        assert _step_tuples(trace) == steps[:cut], cut
+        assert trace.tally == full.tally, cut
+        assert _circuit_fields(run) == untraced, cut
+
+
 class _CountingTrace(GateTrace):
     """A trace that counts the gates handed to :meth:`record`."""
 
@@ -319,6 +360,45 @@ def test_truncated_trace_runs_the_rest_untraced(worked):
     assert sum(cut.tally.values()) == 16_044
     # the pair arrays and the first mask are traced; the other seven masks run as lanes
     assert cut.calls < 16_044 // 4
+
+
+def test_truncated_trace_stops_recording_at_the_cut(worked):
+    ds, given = worked
+    pair_trace = GateTrace()
+    gate_identity((0,) * ds.n, (1,) * ds.n, trace=pair_trace)
+    full = GateTrace()
+    run_qam_circuit(ds, given, trace=full)
+    pair_gates = len(pair_trace.steps)
+    pair_stage = next(i for i, s in enumerate(full.steps) if s.operands[0][0] == "m000.S")
+    mask_gates = (len(full.steps) - pair_stage) // 2 ** ds.n
+    cut = _CountingTrace(max_steps=10)
+    run = run_qam_circuit(ds, given, trace=cut)
+    # the first pair comparator finishes on the trace; every item after it runs as lanes
+    assert cut.calls == pair_gates < pair_gates + mask_gates
+    assert cut.tally == full.tally and sum(cut.tally.values()) == 16_044
+    assert _circuit_fields(run) == _circuit_fields(run_qam_circuit(ds, given))
+
+
+def test_untraced_run_calls_the_comparator_4m_plus_2_times(worked, monkeypatch):
+    ds, given = worked
+    calls = []
+    apply = gates._comparator_apply
+    monkeypatch.setattr(gates, "_comparator_apply", lambda *args: calls.append(args) or apply(*args))
+    run = run_qam_circuit(ds, given)
+    # V2 and W2 once each over m^2 pair lanes; per j the two Y tests over mask
+    # lanes and the two Z tests over (mask, j') lanes
+    assert len(calls) == 4 * ds.m + 2 == 26
+    assert to_analogical_set(run, ds).outcome_counts == EXPECTED_COUNTS
+
+
+def test_readout_rejects_a_dataset_of_another_shape(worked):
+    ds, given = worked
+    run = run_qam_circuit(ds, given)
+    fewer = Dataset.from_pairs([(e.context, e.outcome) for e in ds.exemplars[:4]])
+    wider = Dataset.from_pairs([(e.context + ("x",), e.outcome) for e in ds.exemplars])
+    for other in (fewer, wider):
+        with pytest.raises(ValueError, match=f"6 exemplars and 3 features.*{other.m} and {other.n}"):
+            to_analogical_set(run, other)
 
 
 def test_readback_unpacks_only_the_pair_arrays(worked, monkeypatch):
@@ -372,8 +452,9 @@ def test_lanes_match_mask_by_mask():
     assert any(len(ds.outcome_order) >= 4 for ds, _ in instances)
     for ds, given in instances:
         lanes = run_qam_circuit(ds, given)
-        one_by_one = run_qam_circuit(ds, given, trace=GateTrace(max_steps=0))
-        assert _circuit_fields(lanes) == _circuit_fields(one_by_one)
+        # cut in the first pair comparator: every item after it runs as lanes
+        cut = run_qam_circuit(ds, given, trace=GateTrace(max_steps=0))
+        assert _circuit_fields(lanes) == _circuit_fields(cut)
 
 
 class _TallyTrace(GateTrace):
@@ -406,3 +487,18 @@ def test_restoration_check_is_per_lane():
     y_reg, z_reg, c2_reg = _Lanes("Y", [0b010]), _Lanes("Z", [0]), _Lanes("C2", [0])
     bad = _containment_scan(s_reg, d_regs, y_reg, z_reg, c2_reg, 0b111, None)
     assert bad == 0b010
+
+
+def test_containment_lanes_match_the_serial_loop_off_preset():
+    # lane 2 starts with Z set, so Z is off its preset after every test there
+    def scan(trace):
+        s_reg, y_reg, z_reg = _Lanes("S", [0b101, 0b011]), _Lanes("Y", [0]), _Lanes("Z", [0b100])
+        c2_reg = _Lanes("C2", [0] * 4)
+        d_regs = [_Lanes("D[1]", [0, 1]), _Lanes("D[2]", [0, 0])]
+        bad = _containment_scan(s_reg, d_regs, y_reg, z_reg, c2_reg, 0b111, trace)
+        return bad, c2_reg.bits, y_reg.bits, z_reg.bits
+
+    trace = _TallyTrace()
+    assert scan(None) == scan(trace)
+    assert scan(None)[0] == 0b100
+    assert not trace.truncated and trace.tally["ccnot"] > 0
