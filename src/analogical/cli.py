@@ -111,11 +111,7 @@ def _probabilities_json(dist: OutcomeDistribution) -> dict[str, str]:
 
 
 def _matrix_lines(matrix) -> list[str]:
-    return [" ".join(str(int(b)) for b in row) for row in matrix]
-
-
-def _matrix_json(matrix) -> list[list[int]]:
-    return [[int(b) for b in row] for row in matrix]
+    return [" ".join(map(str, row)) for row in matrix.tolist()]
 
 
 # --- subcommands ------------------------------------------------------------
@@ -254,16 +250,16 @@ def cmd_gates(args: argparse.Namespace) -> int:
             "given": list(given),
             "m": ds.m,
             "n": ds.n,
-            "v2": _matrix_json(run.v2),
-            "w2": _matrix_json(run.w2),
-            "p2": _matrix_json(run.p2),
+            "v2": run.v2.tolist(),
+            "w2": run.w2.tolist(),
+            "p2": run.p2.tolist(),
             "masks": [
                 {
                     "mask": bits_to_str(r.mask),
-                    "c2": _matrix_json(r.c2),
-                    "h2": _matrix_json(r.h2),
+                    "c2": r.c2.tolist(),
+                    "h2": r.h2.tolist(),
                     "flag": int(r.homogeneous),
-                    "a2": _matrix_json(r.a2),
+                    "a2": r.a2.tolist(),
                     "ancillas_restored": r.ancillas_restored,
                 }
                 for r in run.results

@@ -153,6 +153,8 @@ def serialize_dataset(ds: Dataset) -> str:
     for e in ds.exemplars:
         tokens = (e.outcome, *e.context)
         for t in tokens:
+            if not t:
+                raise ValueError(f"token {t!r} is empty and cannot be serialized")
             if any(c.isspace() for c in t):
                 raise ValueError(f"token {t!r} contains whitespace and cannot be serialized")
         if e.outcome.startswith("#"):

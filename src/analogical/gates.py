@@ -39,11 +39,16 @@ iteration j' writes only C2(j, j').  So the iterations commute, and
 running them side by side on m copies of Z gives each mask the same
 gates, the same per-mask gate count and the same final registers.
 
-With a :class:`GateTrace` attached the items of each loop (pairs, masks,
-and j' within a mask) run one at a time on plain 0/1 bits, so every
-recorded step is the one the serial circuit applies; once the trace is
-truncated the items left run as lanes, and ``trace.tally`` counts each of
-their lane gates once per item.  Results do not depend on the lane width.
+Each of these loops (pairs, P2 entries, masks, and j' within a mask) has
+one body, which runs a window of items side by side; an untraced run
+makes one window per loop.  With a :class:`GateTrace` attached the items
+run in windows of one item of the same code, on plain 0/1 bits.  A
+window's registers take the names of its first item's, and a word cut
+from a register records that register's indices (``_Lanes.offset``), so
+every recorded step is the one the serial circuit applies.  Once the
+trace is truncated the items left run in one window, and ``trace.tally``
+counts each of their lane gates once per item.  Results do not depend on
+the lane width.
 
 Matrix registers are kept flat in row-major order: entry (j, j') of an
 m x m array lives at position k = (j - 1) * m + j', with j, j' and k
@@ -58,7 +63,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -79,13 +84,18 @@ _fresh = itertools.count()
 
 
 class _Lanes:
-    """A named register of lane words: bit l of every word belongs to lane l."""
+    """A named register of lane words: bit l of every word belongs to lane l.
 
-    __slots__ = ("name", "_bits")
+    ``offset`` is added to every index a gate records, so a word cut from
+    entries start.. of another register records the entries' own indices.
+    """
 
-    def __init__(self, name: str, words: Sequence[int]):
+    __slots__ = ("name", "_bits", "offset")
+
+    def __init__(self, name: str, words: Sequence[int], offset: int = 0):
         self.name = name
         self._bits = list(words)
+        self.offset = offset
 
     @property
     def bits(self) -> Bits:
@@ -206,7 +216,7 @@ def _not(reg: _Lanes, i: int, ones: int, trace: GateTrace | None) -> None:
     before = reg._bits[i]
     reg._bits[i] = before ^ ones
     if trace is not None:
-        trace.record("not", ((reg.name, i),), before, before ^ ones)
+        trace.record("not", ((reg.name, reg.offset + i),), before, before ^ ones)
 
 
 def _cnot(creg: _Lanes, ci: int, treg: _Lanes, ti: int, trace: GateTrace | None) -> None:
@@ -214,7 +224,7 @@ def _cnot(creg: _Lanes, ci: int, treg: _Lanes, ti: int, trace: GateTrace | None)
     after = before ^ creg._bits[ci]
     treg._bits[ti] = after
     if trace is not None:
-        trace.record("cnot", ((creg.name, ci), (treg.name, ti)), before, after)
+        trace.record("cnot", ((creg.name, creg.offset + ci), (treg.name, treg.offset + ti)), before, after)
 
 
 def _ccnot(
@@ -227,7 +237,8 @@ def _ccnot(
     after = before ^ (areg._bits[ai] & breg._bits[bi])
     treg._bits[ti] = after
     if trace is not None:
-        trace.record("ccnot", ((areg.name, ai), (breg.name, bi), (treg.name, ti)), before, after)
+        operands = ((areg.name, areg.offset + ai), (breg.name, breg.offset + bi), (treg.name, treg.offset + ti))
+        trace.record("ccnot", operands, before, after)
 
 
 def _not_all(reg: _Lanes, ones: int, trace: GateTrace | None) -> None:
@@ -416,30 +427,31 @@ class _LaneTally:
         self.tally[op] += self.per_gate
 
 
-def _run_items(count: int, one, lanes, trace: GateTrace | None) -> None:
-    """Run items 0..count-1 of a step: one at a time while ``trace`` records, the rest as lanes.
+def _run_items(count: int, run, trace: GateTrace | None) -> None:
+    """Run items 0..count-1 of a step in windows; ``run(start, stop, trace)`` runs a window side by side.
 
-    ``one(i, trace)`` runs item i on its own registers and ``lanes(start,
-    trace)`` runs items start..count-1 side by side, one lane each.  Without
-    a trace every item runs as a lane; once the trace is truncated the items
-    left run as lanes and their gates go to ``trace.tally`` once per item.
+    Without a trace every item runs in one window.  While ``trace`` records,
+    each item runs in a window of one item of the same code, which records
+    exactly the steps the serial circuit applies to it; once the trace is
+    truncated the items left run in one window and their gates go to
+    ``trace.tally`` once per item.
     """
     start = 0
     while trace is not None and not trace.truncated and start < count:
-        one(start, trace)
+        run(start, start + 1, trace)
         start += 1
     if start < count:
-        lanes(start, None if trace is None else _LaneTally(trace, count - start))
+        run(start, count, None if trace is None else _LaneTally(trace, count - start))
 
 
-def _entry_lanes(reg: _Lanes, start: int) -> _Lanes:
-    """Entries start.. of a flat bit register as one word, lane i holding entry start + i."""
-    return _Lanes(reg.name, _pack_lanes(np.array(reg.bits[start:], dtype=np.uint8)[:, None]))
+def _entry_lanes(reg: _Lanes, start: int, stop: int) -> _Lanes:
+    """Entries start..stop-1 of a flat bit register as one word, lane i holding entry start + i."""
+    return _Lanes(reg.name, _pack_lanes(np.array(reg._bits[start:stop], dtype=np.uint8)[:, None]), start)
 
 
-def _store_entries(reg: _Lanes, start: int, word: _Lanes) -> None:
-    """Write the lanes of ``word`` back into entries start.. of ``reg``; undoes :func:`_entry_lanes`."""
-    reg._bits[start:] = _unpack_lanes(word, len(reg) - start)[:, 0].tolist()
+def _store_entries(reg: _Lanes, word: _Lanes, stop: int) -> None:
+    """Write the lanes of ``word`` back into entries offset..stop-1 of ``reg``; undoes :func:`_entry_lanes`."""
+    reg._bits[word.offset:stop] = _unpack_lanes(word, stop - word.offset)[:, 0].tolist()
 
 
 def _matrix_register(name: str, matrix, trace: GateTrace | None) -> tuple[BitRegister, int]:
@@ -465,48 +477,36 @@ def _containment_scan(
 
     ``d_regs`` hold each exemplar's difference bits, shared by every lane.
     C2(j, j') becomes 1 iff both difference vectors are in the supracontext.
-    For each j the inner tests over j' run as (mask, j') lanes: block b of
-    each wide word holds the mask lanes of j' = start + b (see the module
-    docstring for why that applies the same gates).  Returns the word of
-    lanes in which an ancilla or either flag register did not come back to
-    its preset (0 when every lane is restored).
+    For each j the inner tests over a window of j' run as (mask, j') lanes:
+    block b of each wide word holds the mask lanes of j' = start + b (see
+    the module docstring for why that applies the same gates).  Returns the
+    word of lanes in which an ancilla or either flag register did not come
+    back to its preset (0 when every lane is restored).
     """
     m = len(d_regs)
     width = ones.bit_length()  # mask lanes per j' block
-    d_bits = np.array([d.bits for d in d_regs], dtype=np.uint8)
-    d_lanes = [_Lanes(d.name, [b * ones for b in d]) for d in d_regs]
-    tiles: dict[int, tuple[_Lanes, _Lanes, int, int]] = {}
+    d_bits = [d.bits for d in d_regs]
     bad = 0
 
-    def tiled(start: int) -> tuple[_Lanes, _Lanes, int, int]:
+    @cache
+    def tiled(start: int, stop: int) -> tuple[_Lanes, _Lanes, int, int]:
         # S copied into every j' block, D[j'] broadcast over block j' - start
-        if start not in tiles:
-            rep = sum(1 << b * width for b in range(m - start))
-            tiles[start] = (
-                _Lanes(s_reg.name, [w * rep for w in s_reg]),
-                _Lanes("D[j']", _pack_lanes(np.repeat(d_bits[start:], width, axis=0))),
-                ones * rep,
-                rep,
-            )
-        return tiles[start]
+        rep = sum(1 << b * width for b in range(stop - start))
+        window = list(enumerate(d_bits[start:stop]))
+        s_t = _Lanes(s_reg.name, [w * rep for w in s_reg])
+        d_t = [sum(ones << b * width for b, d in window if d[i]) for i in range(len(s_reg))]
+        return s_t, _Lanes(d_regs[start].name, d_t), ones * rep, rep
 
     for j in range(m):
         row = j * m
 
-        def one(jp: int, trace) -> None:
+        def run(start: int, stop: int, trace) -> None:
             nonlocal bad
-            bad |= ones ^ _comparator_apply("and", s_reg, d_lanes[jp], ones, z_reg, 0, ones, trace)
-            _ccnot(y_reg, 0, z_reg, 0, c2_reg, row + jp, trace)
-            bad |= ones ^ _comparator_apply("and", s_reg, d_lanes[jp], ones, z_reg, 0, ones, trace)
-            bad |= z_reg._bits[0]
-
-        def lanes(start: int, trace) -> None:
-            nonlocal bad
-            s_t, d_t, all_t, rep = tiled(start)
+            s_t, d_t, all_t, rep = tiled(start, stop)
             y_t = _Lanes(y_reg.name, [y_reg[0] * rep])
             z_t = _Lanes(z_reg.name, [z_reg[0] * rep])
-            blocks = range(m - start)
-            c_t = _Lanes(c2_reg.name, [sum(c2_reg[row + start + b] << b * width for b in blocks)])
+            blocks = range(stop - start)
+            c_t = _Lanes(c2_reg.name, [sum(c2_reg[row + start + b] << b * width for b in blocks)], row + start)
             bad_t = all_t ^ _comparator_apply("and", s_t, d_t, all_t, z_t, 0, all_t, trace)
             _ccnot(y_t, 0, z_t, 0, c_t, 0, trace)
             bad_t |= all_t ^ _comparator_apply("and", s_t, d_t, all_t, z_t, 0, all_t, trace)
@@ -515,9 +515,10 @@ def _containment_scan(
                 c2_reg._bits[row + start + b] = c_t[0] >> b * width & ones
                 bad |= bad_t >> b * width & ones
 
-        bad |= ones ^ _comparator_apply("and", s_reg, d_lanes[j], ones, y_reg, 0, ones, trace)
-        _run_items(m, one, lanes, trace)
-        bad |= ones ^ _comparator_apply("and", s_reg, d_lanes[j], ones, y_reg, 0, ones, trace)
+        s_j, d_j, _, _ = tiled(j, j + 1)
+        bad |= ones ^ _comparator_apply("and", s_j, d_j, ones, y_reg, 0, ones, trace)
+        _run_items(m, run, trace)
+        bad |= ones ^ _comparator_apply("and", s_j, d_j, ones, y_reg, 0, ones, trace)
         bad |= y_reg._bits[0]
     return bad
 
@@ -525,39 +526,34 @@ def _containment_scan(
 def _pair_array(regs: Sequence[BitRegister], out_reg: BitRegister, trace: GateTrace | None) -> None:
     """Flip out(j, j') iff regs[j] == regs[j'], one comparator per ordered pair (V2 from D, W2 from O).
 
-    The pairs run as m^2 lanes of one comparator: lane k - start carries pair
-    k = j * m + j', with regs[j] as u, regs[j'] as v and out(j, j') as the flag.
+    A window of pairs runs as the lanes of one comparator: lane k - start
+    carries pair k = j * m + j', with regs[j] as u, regs[j'] as v and
+    out(j, j') as the flag.
     """
     m = len(regs)
+    bits = np.array([r.bits for r in regs], dtype=np.uint8)
 
-    def one(k: int, trace) -> None:
-        _comparator_apply("xor", regs[k // m], regs[k % m], 1, out_reg, k, 1, trace)
-
-    def lanes(start: int, trace) -> None:
-        bits = np.array([r.bits for r in regs], dtype=np.uint8)
-        pairs = np.arange(start, m * m)
-        u = _Lanes(f"{out_reg.name}.u", _pack_lanes(bits[pairs // m]))
-        v = _Lanes(f"{out_reg.name}.v", _pack_lanes(bits[pairs % m]))
-        flag = _entry_lanes(out_reg, start)
+    def run(start: int, stop: int, trace) -> None:
+        pairs = np.arange(start, stop)
+        u = _Lanes(regs[start // m].name, _pack_lanes(bits[pairs // m]))
+        v = _Lanes(regs[start % m].name, _pack_lanes(bits[pairs % m]))
+        flag = _entry_lanes(out_reg, start, stop)
         ones = (1 << len(pairs)) - 1
         _comparator_apply("xor", u, v, ones, flag, 0, ones, trace)
-        _store_entries(out_reg, start, flag)
+        _store_entries(out_reg, flag, stop)
 
-    _run_items(m * m, one, lanes, trace)
+    _run_items(m * m, run, trace)
 
 
 def _and_entries(a_reg: BitRegister, b_reg: BitRegister, out_reg: BitRegister, trace: GateTrace | None) -> None:
     """out ^= a AND b entrywise, one Toffoli per entry run as one lane each (P2 from V2/W2)."""
 
-    def one(k: int, trace) -> None:
-        _ccnot(a_reg, k, b_reg, k, out_reg, k, trace)
+    def run(start: int, stop: int, trace) -> None:
+        out = _entry_lanes(out_reg, start, stop)
+        _ccnot(_entry_lanes(a_reg, start, stop), 0, _entry_lanes(b_reg, start, stop), 0, out, 0, trace)
+        _store_entries(out_reg, out, stop)
 
-    def lanes(start: int, trace) -> None:
-        out = _entry_lanes(out_reg, start)
-        _ccnot(_entry_lanes(a_reg, start), 0, _entry_lanes(b_reg, start), 0, out, 0, trace)
-        _store_entries(out_reg, start, out)
-
-    _run_items(len(out_reg), one, lanes, trace)
+    _run_items(len(out_reg), run, trace)
 
 
 def _and_array(a_reg: _Lanes, b_reg: _Lanes, out_reg: _Lanes, trace: GateTrace | None) -> None:
@@ -721,7 +717,7 @@ def _supracontext_circuits(
     lanes = len(masks)
     ones = (1 << lanes) - 1
     m2 = len(p2_reg)
-    pfx = f"m{bits_to_str(masks[0])}." if lanes == 1 else "lanes."
+    pfx = f"m{bits_to_str(masks[0])}."  # a window's registers are named after its first mask
     s_reg = _Lanes(pfx + "S", _pack_lanes(masks))
     p2_lanes = _Lanes(p2_reg.name, [b * ones for b in p2_reg])
     y_reg = _Lanes(pfx + "Y", [0])
@@ -759,10 +755,10 @@ def run_qam_circuit(
 
     Builds V2, W2, P2 once over m^2 pair lanes, then runs the per-mask
     circuit on all masks at once, one lane each.  With a ``trace`` the pairs
-    and the masks run one at a time, masks in :func:`iter_masks` order, so
-    the trace records every gate on plain bits, until it is truncated: the
-    items left then run as lanes with no trace, and ``trace.tally`` adds
-    their gates.
+    and the masks run in windows of one item of the same code, masks in
+    :func:`iter_masks` order, so the trace records every gate on plain bits,
+    until it is truncated: the items left then run as lanes with no trace,
+    and ``trace.tally`` adds their gates.
     """
     check_lattice_size(ds.n, n_cap)
     m = ds.m
@@ -791,9 +787,7 @@ def run_qam_circuit(
         part = _supracontext_circuits(masks[start:stop], d_regs, p2_reg, trace)
         words[:] = [w | p << start for w, p in zip(words, part)]
 
-    _run_items(
-        len(masks), lambda i, t: run_masks(i, i + 1, t), lambda i, t: run_masks(i, len(masks), t), trace
-    )
+    _run_items(len(masks), run_masks, trace)
     v2, w2, p2 = (_lane_matrices(reg, 1, m)[0] for reg in (v2_reg, w2_reg, p2_reg))
     c2, h2, a2 = (tuple(words[i * m * m:(i + 1) * m * m]) for i in range(3))
     return CircuitRun(v2, w2, p2, tuple(masks), c2, h2, a2, *words[-2:])

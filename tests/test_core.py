@@ -111,6 +111,10 @@ def test_serialize_rejects_unrepresentable():
     ds = Dataset.from_pairs([(("a b",), "y")])
     with pytest.raises(ValueError):
         serialize_dataset(ds)
+    # an empty feature would vanish from the text and re-parse with one feature fewer
+    ds = Dataset.from_pairs([(("", "a"), "x"), (("", "b"), "y")])
+    with pytest.raises(ValueError, match="token '' is empty"):
+        serialize_dataset(ds)
 
 
 def test_from_pairs_rejects_empty():

@@ -26,6 +26,7 @@ from analogical import (
     gate_ones,
     gate_ones_inverse,
     int_to_bits,
+    load_worked_example,
     predict_distribution,
     run_qam_circuit,
     to_analogical_set,
@@ -303,6 +304,15 @@ def test_trace_tally_counts_every_gate(worked):
 # worked example's full trace, with the scratch-register numbering started at 0
 WORKED_TRACE_SHA256 = "185ce2e8b60604294530004c34755c013a9b2fb7487cf7dfe874d30d4ebf454e"
 
+# the same over a duplicated exemplar and 2-bit outcome codes
+DUPLICATED = (
+    Dataset.from_pairs([
+        (("a", "b"), "p"), (("a", "b"), "p"), (("a", "c"), "q"), (("d", "b"), "r"), (("d", "c"), "q"),
+    ]),
+    ("a", "b"),
+)
+DUPLICATED_TRACE_SHA256 = "21b5ea6fc54c7b1b25d77361d55873ceccf14c1e74066a501d1859f8246b339e"
+
 
 def _numbered_trace(ds, given, monkeypatch, **kwargs):
     """Run with a trace, numbering scratch registers from 0 so step operands repeat across runs."""
@@ -315,12 +325,16 @@ def _step_tuples(trace):
     return [(s.op, s.operands, s.target_before, s.target_after) for s in trace.steps]
 
 
-def test_trace_steps_are_pinned(worked, monkeypatch):
-    ds, given = worked
+@pytest.mark.parametrize("instance, steps, sha256", [
+    pytest.param(load_worked_example(), 16_044, WORKED_TRACE_SHA256, id="worked"),
+    pytest.param(DUPLICATED, 4_695, DUPLICATED_TRACE_SHA256, id="duplicated"),
+])
+def test_trace_steps_are_pinned(instance, steps, sha256, monkeypatch):
+    ds, given = instance
     _, trace = _numbered_trace(ds, given, monkeypatch)
-    assert not trace.truncated and len(trace.steps) == 16_044
+    assert not trace.truncated and len(trace.steps) == steps
     digest = hashlib.sha256(repr(_step_tuples(trace)).encode()).hexdigest()
-    assert digest == WORKED_TRACE_SHA256
+    assert digest == sha256
 
 
 def test_truncation_anywhere_keeps_results_steps_and_tally(worked, monkeypatch):
