@@ -17,9 +17,11 @@ read; the per-exemplar functions below stay as the oracles it is tested against.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from importlib.resources import files
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -29,7 +31,8 @@ FeatureVector = tuple[str, ...]
 Bits = tuple[int, ...]
 
 # The fast engine's subset sums take O((outcomes + 1) * n * 2^n) time and
-# about (outcomes + 2) * 8 * 2^n bytes: 640 MiB at n = 24 with 3 outcomes.
+# about (outcomes + 1) * 2 * w * 2^n bytes, rows of w bytes (1 up to m = 255)
+# plus one transposed copy: 128 MiB at n = 24 with 3 outcomes and m <= 255.
 # Per-mask verdicts (explain, two-step prediction) still walk all 2^n masks
 # in Python.  The gate engine holds C2, H2 and A2 as 3 * m^2 lane words of
 # 2^n bits each, plus about 4n + 5 words of m * 2^n bits for the (mask, j')
@@ -107,10 +110,47 @@ class Dataset:
     @property
     def outcome_order(self) -> tuple[str, ...]:
         """Outcome labels in order of first appearance; fixes report ordering."""
-        seen: dict[str, None] = {}
-        for e in self.exemplars:
-            seen.setdefault(e.outcome, None)
-        return tuple(seen)
+        return self._codes.outcome_order
+
+    @cached_property
+    def _codes(self) -> "_Codes":
+        # built on the first encoding, not at construction, so parsing costs no more
+        return _Codes(self.exemplars)
+
+    def __getstate__(self) -> dict:
+        # the codes are derived from the exemplars; a pickle carries only the fields
+        return {k: v for k, v in self.__dict__.items() if k != "_codes"}
+
+
+class _Codes:
+    """A dataset's symbols and outcomes as small ints, for :func:`encode`.
+
+    ``symbols`` maps each symbol to its first-seen code, and ``keys`` lists
+    the symbols by code; ``cells`` holds every exemplar's codes, (m, n);
+    ``outcomes`` holds each exemplar's position in ``outcome_order``.
+    Symbols share a code when a dict would merge them: equal by ``==`` with
+    equal hashes, or the same object.
+    """
+
+    def __init__(self, exemplars: Sequence[Exemplar]) -> None:
+        # one dict lookup per cell or label: one not seen yet takes the next code
+        self.symbols, order = defaultdict(count().__next__), defaultdict(count().__next__)
+        cells = map(self.symbols.__getitem__, chain.from_iterable(e.context for e in exemplars))
+        m, n = len(exemplars), len(exemplars[0].context)
+        self.cells = np.fromiter(cells, np.intp, m * n).reshape(m, n)
+        labels = map(order.__getitem__, (e.outcome for e in exemplars))
+        self.outcomes = np.fromiter(labels, np.intp, m)
+        self.symbols.default_factory = None
+        self.keys, self.outcome_order = tuple(self.symbols), tuple(order)
+        # encode hands these arrays out; no caller may change them
+        self.cells.flags.writeable = self.outcomes.flags.writeable = False
+
+    def given(self, given: Sequence[str]) -> np.ndarray:
+        """Each given symbol's code, or -1 where no exemplar's symbol ``==`` it."""
+        codes = [self.symbols.get(s, -1) for s in given]
+        # a dict finds a self-unequal symbol (NaN) by identity, where == finds nothing
+        codes = [c if c >= 0 and self.keys[c] == s else -1 for c, s in zip(codes, given)]
+        return np.array(codes, dtype=np.intp)
 
 
 def parse_dataset(text: str) -> Dataset:
@@ -160,6 +200,11 @@ def serialize_dataset(ds: Dataset) -> str:
         if e.outcome.startswith("#"):
             raise ValueError(
                 f"outcome {e.outcome!r} starts with '#' and would re-parse as a comment"
+            )
+        if e.index == 1 and e.outcome.startswith("\ufeff"):
+            raise ValueError(
+                f"outcome {e.outcome!r} starts the text with a byte-order mark, "
+                "which load_dataset drops"
             )
         lines.append(f"{e.outcome}\t{' '.join(e.context)}")
     return "\n".join(lines) + "\n"
@@ -226,18 +271,18 @@ def encode(ds: Dataset, given: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Packed difference vectors and outcome positions, aligned with ``ds.exemplars``.
 
     Vectors pack as :func:`bits_to_int` packs them; outcomes index ``ds.outcome_order``.
-    Features compare as Python objects with ``==``, as in :func:`difference_vector`.
+    Features compare with ``==``, as in :func:`difference_vector`: each given
+    symbol is looked up once in the dataset's symbol codes, which are built on
+    the dataset's first encoding, so symbols must be hashable.  The outcome
+    array is the dataset's own and read-only.
     """
     given = tuple(given)
     if len(given) != ds.n:
         raise ValueError(f"length mismatch: {ds.n} vs {len(given)}")
-    cells = np.fromiter(chain.from_iterable(e.context for e in ds.exemplars), object, ds.m * ds.n)
-    same = cells.reshape(ds.m, ds.n) == np.fromiter(given, object, ds.n)
+    codes = ds._codes
     # past 62 features the packed ints outgrow int64 and stay Python ints
     weights = np.array([1 << i for i in reversed(range(ds.n))], np.int64 if ds.n < 63 else object)
-    seen: dict[str, int] = {}
-    outcomes = [seen.setdefault(e.outcome, len(seen)) for e in ds.exemplars]
-    return ~same @ weights, np.array(outcomes, dtype=np.intp)
+    return (codes.cells != codes.given(given)) @ weights, codes.outcomes
 
 
 def int_to_bits(value: int, n: int) -> Bits:

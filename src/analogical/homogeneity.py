@@ -217,9 +217,16 @@ def analogical_set(
     N_o(c) members with outcome o and S(c) distinct subcontexts.  By the
     plurality rule c is homogeneous iff S(c) <= 1 or a single outcome holds
     all k(c) = sum_o N_o(c) members; homogeneous supracontexts contribute
-    k * N_o pointers to outcome o, k^2 in total.  The cost is
-    O((outcomes + 1) * n * 2^n) time and about (outcomes + 2) * 8 * 2^n
-    bytes, independent of m after bucketing by :func:`encode`'s arrays.
+    k * N_o pointers to outcome o, k^2 in total.
+
+    Every subset sum is at most m, so the rows take the narrowest unsigned
+    type that holds m.  The passes for the high half of the bits run in
+    place over runs of at least 2^(n//2) entries; one transposed copy then
+    makes the low bits high, so their passes run over long runs too.  The
+    counts are read off the transposed rows, and only the flags go back to
+    c order.  The cost is O((outcomes + 1) * n * 2^n) time and about
+    (outcomes + 1) * 2 * w * 2^n bytes for w-byte rows (w = 1 up to m = 255),
+    independent of m after bucketing by :func:`encode`'s arrays.
 
     ``verdicts`` lists one verdict per mask, most specific first; each is
     built only when read.
@@ -227,22 +234,27 @@ def analogical_set(
     check_lattice_size(ds.n, n_cap)
     order = ds.outcome_order
     d_ints, outcomes = encode(ds, given)
+    row_type = np.min_scalar_type(ds.m)
+    low, high = ds.n // 2, ds.n - ds.n // 2
 
-    sums = np.zeros((len(order) + 1, 1 << ds.n), dtype=np.int64)
-    np.add.at(sums, (outcomes, d_ints), 1)
+    sums = np.zeros((len(order) + 1, 1 << ds.n), dtype=row_type)
+    np.add.at(sums, (outcomes, d_ints), row_type.type(1))
     sums[-1, d_ints] = 1
-    for bit in range(ds.n):
-        halves = sums.reshape(len(order) + 1, -1, 2, 1 << bit)
-        halves[:, :, 1, :] += halves[:, :, 0, :]
+    _zeta(sums, range(low, ds.n))
+    # c = h * 2^low + l becomes t = l * 2^high + h: c's low bits are t's high bits
+    sums = np.ascontiguousarray(sums.reshape(-1, 1 << high, 1 << low).transpose(0, 2, 1))
+    sums = sums.reshape(len(sums), -1)
+    _zeta(sums, range(high, ds.n))
 
     per_outcome, subcontexts = sums[:-1], sums[-1]
     homogeneous = subcontexts <= 1
-    # S(c) is no longer needed: its row takes max_o N_o(c), saving 8 * 2^n bytes
+    # S(c) is no longer needed: its row takes max_o N_o(c)
     top = np.max(per_outcome, axis=0, out=subcontexts)
-    k = per_outcome.sum(axis=0)
+    k = per_outcome.sum(axis=0, dtype=row_type)
     homogeneous |= top == k
     k[~homogeneous] = 0
     counts, total = _pointer_sums(k, per_outcome, ds.m)
+    homogeneous = homogeneous.reshape(1 << low, 1 << high).T.ravel()
     return AnalogicalSet(
         verdicts=_LatticeVerdicts(ds, partial(_subset_read, d_ints.tolist(), homogeneous)),
         outcome_counts=dict(zip(order, counts)),
@@ -250,16 +262,26 @@ def analogical_set(
     )
 
 
+def _zeta(sums: np.ndarray, bits: range) -> None:
+    """Yates' passes over ``bits``, in place: per bit b, each entry c with b set gains c - 2^b."""
+    for bit in bits:
+        halves = sums.reshape(len(sums), -1, 2, 1 << bit)
+        halves[:, :, 1, :] += halves[:, :, 0, :]
+
+
 def _pointer_sums(k: np.ndarray, per_outcome: np.ndarray, max_k: int) -> tuple[list[int], int]:
     """``sum(k * row)`` for each row of ``per_outcome``, and ``sum(k * k)``.
 
-    Every entry is at most ``max_k``, so each sum is below max_k^2 * len(k);
-    int64 is used only when that bound is below 2^63, and Python ints
-    otherwise, so the sums never wrap.
+    Every entry is at most ``max_k``, so each sum is below max_k^2 * len(k).
+    While that bound is below 2^63 the products are summed in int64, cast in
+    einsum's buffers without an int64 copy of a row; past it they are summed
+    as Python ints, so the sums never wrap.
     """
     if max_k * max_k * len(k) >= 1 << 63:
         k, per_outcome = k.astype(object), per_outcome.astype(object)
-    return [int(row @ k) for row in per_outcome], int(k @ k)
+        return [int(row @ k) for row in per_outcome], int(k @ k)
+    dot = partial(np.einsum, "i,i->", dtype=np.int64)
+    return [int(dot(row, k)) for row in per_outcome], int(dot(k, k))
 
 
 def _subset_read(d_ints: list[int], homogeneous: np.ndarray, mask: Bits, index: int):

@@ -1,6 +1,7 @@
 """Dataset parsing, difference vectors, masks, and bit helpers."""
 
 import codecs
+import pickle
 import random
 from fractions import Fraction
 
@@ -94,7 +95,7 @@ _TOKENS = st.text(min_size=1, max_size=4).filter(lambda t: not any(c.isspace() f
 @hgiven(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.lists(
     st.tuples(
         st.lists(_TOKENS, min_size=n, max_size=n),
-        _TOKENS.filter(lambda t: not t.startswith("#")),
+        _TOKENS.filter(lambda t: not t.startswith(("#", "\ufeff"))),
     ),
     min_size=1,
     max_size=6,
@@ -115,6 +116,18 @@ def test_serialize_rejects_unrepresentable():
     ds = Dataset.from_pairs([(("", "a"), "x"), (("", "b"), "y")])
     with pytest.raises(ValueError, match="token '' is empty"):
         serialize_dataset(ds)
+
+
+def test_serialize_rejects_leading_byte_order_mark(tmp_path):
+    # load_dataset reads utf-8-sig, so a first outcome's leading U+FEFF would be lost
+    ds = Dataset.from_pairs([(("a",), "\ufeffx"), (("b",), "y")])
+    with pytest.raises(ValueError, match=r"'\\ufeffx'"):
+        serialize_dataset(ds)
+    # past the first line the mark is an ordinary character and round-trips
+    later = Dataset.from_pairs([(("a",), "y"), (("b",), "\ufeffx")])
+    path = tmp_path / "later.tsv"
+    path.write_text(serialize_dataset(later), encoding="utf-8")
+    assert load_dataset(path) == later
 
 
 def test_from_pairs_rejects_empty():
@@ -206,6 +219,59 @@ def test_int_and_str_features_differ():
     # subcontext, and x would get 1/2
     dist = predict_distribution(analogical_set(ds, given))
     assert dist.probabilities == {"x": Fraction(0), "y": Fraction(1)}
+
+
+NAN = float("nan")  # one object: a dict finds it by identity, but NAN != NAN
+CACHED_SYMBOLS = ("a", "b", "1", 1, 1.0, True, NAN)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 70])
+@pytest.mark.parametrize("seed", range(6))
+def test_encode_cache_matches_fresh_copy_and_oracle(seed, n):
+    rng = random.Random(f"{seed}:{n}")
+    pairs = [
+        (tuple(rng.choice(CACHED_SYMBOLS) for _ in range(n)), rng.choice("xyz"))
+        for _ in range(rng.randint(1, 10))
+    ]
+    ds = Dataset.from_pairs(pairs)
+    for _ in range(12):
+        given = tuple(rng.choice(CACHED_SYMBOLS + UNSEEN) for _ in range(n))
+        d_ints, outcomes = encode(ds, given)
+        fresh = encode(Dataset(ds.exemplars), given)
+        assert d_ints.tolist() == fresh[0].tolist()
+        assert outcomes.tolist() == fresh[1].tolist()
+        assert (d_ints.tolist(), outcomes.tolist()) == encode_oracle(ds, given)
+        assert not outcomes.flags.writeable
+
+
+def test_encode_nan_matches_nothing():
+    ds = Dataset.from_pairs([((NAN, "a"), "x"), ((NAN, "b"), "y"), (("c", "a"), "x")])
+    for _ in range(3):
+        assert encode(ds, (NAN, "a"))[0].tolist() == [0b10, 0b11, 0b10]
+        assert encode_oracle(ds, (NAN, "a"))[0] == [0b10, 0b11, 0b10]
+
+
+def test_encode_equal_numbers_match_but_not_their_string():
+    ds = Dataset.from_pairs([((1,), "x"), ((1.0,), "y"), ((True,), "x"), (("1",), "y")])
+    assert encode(ds, ("1",))[0].tolist() == [1, 1, 1, 0]
+    for number in (1, 1.0, True):
+        assert encode(ds, (number,))[0].tolist() == [0, 0, 0, 1]
+        assert encode_oracle(ds, (number,))[0] == [0, 0, 0, 1]
+
+
+def test_encode_cache_leaves_dataset_value_unchanged():
+    pairs = [(("a", "b"), "x"), (("b", "b"), "y"), (("a", "c"), "x")]
+    ds = Dataset.from_pairs(pairs)
+    before = (repr(ds), hash(ds), pickle.dumps(ds))
+    expected = encode(ds, ("a", "b"))[0].tolist()
+    assert "_codes" in vars(ds)
+    assert (repr(ds), hash(ds), pickle.dumps(ds)) == before
+    assert ds == Dataset.from_pairs(pairs)
+    clone = pickle.loads(pickle.dumps(ds))
+    assert clone == ds and hash(clone) == hash(ds)
+    assert "_codes" not in vars(clone)
+    assert encode(clone, ("a", "b"))[0].tolist() == expected
+    assert clone.outcome_order == ds.outcome_order == ("x", "y")
 
 
 @pytest.mark.parametrize("given", [("o",), ("o", "m"), ("o", "m", "a", "x"), "om"])

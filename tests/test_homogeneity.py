@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from analogical import (
     NoAnalogicalSupportError,
     OutcomeDistribution,
     analogical_set,
+    bits_to_int,
     bits_to_str,
     contained_exemplars,
     difference_vector,
@@ -30,6 +32,7 @@ from analogical import (
     to_analogical_set,
     two_step_distribution,
 )
+from analogical.core import encode
 from analogical.homogeneity import _pointer_sums
 from helpers import (
     EXPECTED_COUNTS,
@@ -289,6 +292,73 @@ def test_wide_lattice_without_the_walk():
     for i in (0, 12345, -1):
         v = aset.verdicts[i]
         assert v.members == contained_exemplars(ds, given, v.mask)
+
+
+def int64_yates(ds, given):
+    """Outcome counts, total and flags (indexed by c = NOT mask) from plain int64 passes."""
+    d_ints, outcomes = encode(ds, given)
+    sums = np.zeros((len(ds.outcome_order) + 1, 1 << ds.n), dtype=np.int64)
+    np.add.at(sums, (outcomes, d_ints), 1)
+    sums[-1, d_ints] = 1
+    for bit in range(ds.n):
+        halves = sums.reshape(len(sums), -1, 2, 1 << bit)
+        halves[:, :, 1, :] += halves[:, :, 0, :]
+    per_outcome, subcontexts = sums[:-1], sums[-1]
+    k = per_outcome.sum(axis=0)
+    homogeneous = (subcontexts <= 1) | (per_outcome.max(axis=0) == k)
+    k = np.where(homogeneous, k, 0)
+    counts = dict(zip(ds.outcome_order, (int(row @ k) for row in per_outcome)))
+    return counts, int(k @ k), homogeneous
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_narrow_zeta_matches_int64_yates(seed):
+    rng = random.Random(seed)
+    n = seed % 12 + 1  # odd and even n: the two halves of the passes differ by one bit
+    labels = "wxyz"[: rng.randint(1, 4)]
+    pairs = [
+        (tuple(rng.choice("abc"[: rng.randint(2, 3)]) for _ in range(n)), rng.choice(labels))
+        for _ in range(rng.randint(1, 40))
+    ]
+    ds = Dataset.from_pairs(pairs)
+    given = tuple(rng.choice("ab") for _ in range(n))
+    counts, total, homogeneous = int64_yates(ds, given)
+    aset = analogical_set(ds, given)
+    assert aset.outcome_counts == counts
+    assert aset.total_pointers == total
+    positions = range(1 << n) if n <= 8 else rng.sample(range(1 << n), 64)
+    for i in positions:
+        v = aset.verdicts[i]
+        assert v.homogeneous == bool(homogeneous[(1 << n) - 1 - bits_to_int(v.mask)])
+
+
+@pytest.mark.parametrize("m", [255, 256, 65535, 65536])
+def test_identical_exemplars_fill_the_row_type(m):
+    # every mask holds all m exemplars: k(c) = m, one past the uint8/uint16 maximum at 256/65536
+    n = 3
+    ds = Dataset.from_pairs([(("a", "b", "a"), "x")] * m)
+    aset = analogical_set(ds, ("a", "b", "a"))
+    assert aset.total_pointers == m * m * (1 << n)
+    assert aset.outcome_counts == {"x": m * m * (1 << n)}
+    assert aset.verdicts[0].homogeneous and aset.verdicts[-1].homogeneous
+
+
+def test_lattice_memory_stays_narrow():
+    # int64 rows, or full-size int64 copies of them, peak at about 2.6 MiB here
+    rng = random.Random(16)
+    n = 16
+    ds = Dataset.from_pairs(
+        [(tuple(rng.choice("ab") for _ in range(n)), rng.choice("xyz")) for _ in range(40)]
+    )
+    given = tuple(rng.choice("ab") for _ in range(n))
+    analogical_set(ds, given)  # the dataset's codes are built once, on the first call
+    tracemalloc.start()
+    try:
+        analogical_set(ds, given)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_pointer_sums_exact_past_int64():
