@@ -239,9 +239,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_gates(args: argparse.Namespace) -> int:
     ds, given = _load(args)
-    trace = GateTrace() if args.trace else None
+    # a trace that keeps no steps still tallies every gate; report what a default one keeps
+    trace = GateTrace(max_steps=0) if args.trace else None
     run = run_qam_circuit(ds, given, n_cap=args.n_cap, trace=trace)
     aset = to_analogical_set(run, ds)
+    if trace is not None:
+        total, cap = trace.tally.total(), GateTrace().max_steps
+        kept, truncated = min(total, cap), total > cap
 
     if args.format == "json":
         obj = {
@@ -267,8 +271,7 @@ def cmd_gates(args: argparse.Namespace) -> int:
             "total_pointers": aset.total_pointers,
         }
         if trace is not None:
-            obj["trace_steps"] = len(trace.steps)
-            obj["trace_truncated"] = trace.truncated
+            obj["trace_steps"], obj["trace_truncated"] = kept, truncated
         _emit_json(obj)
         return EXIT_OK
 
@@ -289,8 +292,7 @@ def cmd_gates(args: argparse.Namespace) -> int:
     lines.append("")
     lines.append(f"total pointers: {aset.total_pointers}")
     if trace is not None:
-        suffix = " (truncated)" if trace.truncated else ""
-        lines.append(f"trace: {len(trace.steps)} steps{suffix}")
+        lines.append(f"trace: {kept} steps{' (truncated)' if truncated else ''}")
     _emit("\n".join(lines))
     return EXIT_OK
 

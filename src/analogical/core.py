@@ -33,6 +33,7 @@ Bits = tuple[int, ...]
 # The fast engine's subset sums take O((outcomes + 1) * n * 2^n) time and
 # about (outcomes + 1) * 2 * w * 2^n bytes, rows of w bytes (1 up to m = 255)
 # plus one transposed copy: 128 MiB at n = 24 with 3 outcomes and m <= 255.
+# Either engine's lattice record keeps 2^n * (1 + w) bytes, 32 MiB at n = 24.
 # Per-mask verdicts (explain, two-step prediction) still walk all 2^n masks
 # in Python.  The gate engine holds C2, H2 and A2 as 3 * m^2 lane words of
 # 2^n bits each, plus about 4n + 5 words of m * 2^n bits for the (mask, j')

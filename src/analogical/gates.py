@@ -19,7 +19,8 @@ NOT is ``x ^= ALL``, CNOT ``t ^= c`` and Toffoli ``t ^= a & b``, where
 ALL = 2^L - 1 for L lanes.  Registers shared by every mask (D, P2) are
 broadcast to 0 or ALL.  The gate sequence, and so every per-mask gate
 count, is the one a single mask would run.  The run keeps its outputs as
-lane words: the analogical set is read straight off them, and per-mask
+lane words: pointer counts, flags and member counts (the C2 diagonal) are
+read off them into the lattice record both engines share, and per-mask
 matrices are unpacked only when a caller asks for them.
 
 Two more loops run as lanes the same way.  The m^2 comparators behind V2
@@ -63,7 +64,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -677,6 +678,7 @@ class CircuitRun:
     word per flat m x m entry.  :attr:`results` unpacks them on first read.
     """
 
+    d: np.ndarray  # :func:`encode`'s difference vectors, as loaded into D
     v2: np.ndarray
     w2: np.ndarray
     p2: np.ndarray
@@ -790,22 +792,17 @@ def run_qam_circuit(
     _run_items(len(masks), run_masks, trace)
     v2, w2, p2 = (_lane_matrices(reg, 1, m)[0] for reg in (v2_reg, w2_reg, p2_reg))
     c2, h2, a2 = (tuple(words[i * m * m:(i + 1) * m * m]) for i in range(3))
-    return CircuitRun(v2, w2, p2, tuple(masks), c2, h2, a2, *words[-2:])
-
-
-def _lane_read(diagonal: Sequence[int], flag_word: int, mask: Bits, lane: int):
-    """The gate engine's reader: members off the C2 diagonal words, the flag off its word."""
-    members = tuple([j for j, word in enumerate(diagonal, 1) if word >> lane & 1])
-    return members, bool(flag_word >> lane & 1)
+    return CircuitRun(d_ints, v2, w2, p2, tuple(masks), c2, h2, a2, *words[-2:])
 
 
 def to_analogical_set(run: CircuitRun, ds: Dataset) -> AnalogicalSet:
     """Read the circuit's lane words back into the pointer-counting vocabulary.
 
-    Members come off the C2 diagonal words and homogeneity off the flag
-    word as each verdict is read.  Outcome o's pointer count is the number
-    of set lanes in the A2 words of the columns j' with outcome o.  Raises
-    ``ValueError`` when ``run`` was not made from a dataset of the same shape.
+    Outcome o's pointer count is the number of set lanes in the A2 words of
+    the columns j' with outcome o.  The lattice record takes the flag word
+    and the lane popcounts of the C2 diagonal words (each mask's k) in mask
+    order.  Raises ``ValueError`` when ``run`` was not made from a dataset
+    of the same shape.
     """
     m, n = len(run.p2), len(run.masks[0])
     if (m, n) != (ds.m, ds.n):
@@ -815,8 +812,11 @@ def to_analogical_set(run: CircuitRun, ds: Dataset) -> AnalogicalSet:
     counts: dict[str, int] = {o: 0 for o in ds.outcome_order}
     for k, word in enumerate(run.a2_words):
         counts[ds.exemplars[k % ds.m].outcome] += word.bit_count()
+    lane_of = np.argsort(np.array(run.masks) @ (1 << np.arange(n - 1, -1, -1)))  # per mask int
+    homogeneous = _unpack_lanes([run.flag_word], len(lane_of))[lane_of, 0] == 1
+    k = _unpack_lanes(run.c2_words[:: m + 1], len(lane_of)).sum(axis=1, dtype=np.min_scalar_type(m))
     return AnalogicalSet(
-        verdicts=_LatticeVerdicts(ds, partial(_lane_read, run.c2_words[:: ds.m + 1], run.flag_word)),
+        verdicts=_LatticeVerdicts(ds, run.d, homogeneous, k[lane_of]),
         outcome_counts=counts,
         total_pointers=sum(counts.values()),
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import operator
 import random
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -91,8 +91,9 @@ class AnalogicalSet:
     ``outcome_counts`` maps each outcome label (dataset first-appearance
     order) to the number of surviving pointers targeting it;
     ``total_pointers`` is their sum, equal to the sum of k^2 over the
-    homogeneous supracontexts.  ``verdicts`` holds one verdict per mask in
-    :func:`iter_masks` order; both engines build each one when read.
+    homogeneous supracontexts.  ``verdicts`` is the lattice record both
+    engines return, which keeps a flag and a w-byte member count per mask
+    (2^n * (1 + w) bytes) and builds each mask's verdict when read.
     """
 
     verdicts: Sequence[SupracontextVerdict]
@@ -223,13 +224,11 @@ def analogical_set(
     type that holds m.  The passes for the high half of the bits run in
     place over runs of at least 2^(n//2) entries; one transposed copy then
     makes the low bits high, so their passes run over long runs too.  The
-    counts are read off the transposed rows, and only the flags go back to
-    c order.  The cost is O((outcomes + 1) * n * 2^n) time and about
-    (outcomes + 1) * 2 * w * 2^n bytes for w-byte rows (w = 1 up to m = 255),
-    independent of m after bucketing by :func:`encode`'s arrays.
-
-    ``verdicts`` lists one verdict per mask, most specific first; each is
-    built only when read.
+    counts are read off the transposed rows; only the flags and k go back,
+    in mask order, for the lattice record.  The cost is O((outcomes + 1) *
+    n * 2^n) time and about (outcomes + 1) * 2 * w * 2^n bytes for w-byte
+    rows (w = 1 up to m = 255), independent of m after bucketing by
+    :func:`encode`'s arrays.
     """
     check_lattice_size(ds.n, n_cap)
     order = ds.outcome_order
@@ -252,11 +251,14 @@ def analogical_set(
     top = np.max(per_outcome, axis=0, out=subcontexts)
     k = per_outcome.sum(axis=0, dtype=row_type)
     homogeneous |= top == k
+    # back to c order in copies (flatten copies even where n = 1 leaves .T contiguous);
+    # mask = 2^n - 1 - c, so mask order is c order reversed
+    by_mask = [a.reshape(1 << low, 1 << high).T.flatten()[::-1] for a in (homogeneous, k)]
+    record = _LatticeVerdicts(ds, d_ints, *by_mask)
     k[~homogeneous] = 0
     counts, total = _pointer_sums(k, per_outcome, ds.m)
-    homogeneous = homogeneous.reshape(1 << low, 1 << high).T.ravel()
     return AnalogicalSet(
-        verdicts=_LatticeVerdicts(ds, partial(_subset_read, d_ints.tolist(), homogeneous)),
+        verdicts=record,
         outcome_counts=dict(zip(order, counts)),
         total_pointers=total,
     )
@@ -284,29 +286,23 @@ def _pointer_sums(k: np.ndarray, per_outcome: np.ndarray, max_k: int) -> tuple[l
     return [int(dot(row, k)) for row in per_outcome], int(dot(k, k))
 
 
-def _subset_read(d_ints: list[int], homogeneous: np.ndarray, mask: Bits, index: int):
-    """The fast engine's reader: members by d & mask == 0, flags indexed by c = NOT mask."""
-    mask_int = bits_to_int(mask)
-    members = tuple([j for j, d in enumerate(d_ints, 1) if d & mask_int == 0])
-    return members, bool(homogeneous[(len(homogeneous) - 1) ^ mask_int])
-
-
 class _LatticeVerdicts(Sequence):
-    """Per-mask verdicts in :func:`iter_masks` order, each built on access.
+    """The lattice record both engines build: per-mask verdicts in :func:`iter_masks` order.
 
-    Holds the dataset and the engine's reader, ``read(mask, index)``: the
-    members and homogeneity flag of the mask at ``index``.  Nothing is cached.
+    ``d`` holds :func:`encode`'s difference vectors; ``homogeneous`` (bool)
+    and ``k`` (members, in the narrow row type) are indexed by mask int.  A
+    verdict is built on access, members by ``d & mask == 0``; none is cached.
     """
 
-    def __init__(self, ds: Dataset, read: Callable[[Bits, int], tuple[tuple[int, ...], bool]]):
-        self._ds = ds
-        self._read = read
+    def __init__(self, ds: Dataset, d: np.ndarray, homogeneous: np.ndarray, k: np.ndarray):
+        self.ds, self.d, self.homogeneous, self.k = ds, d, homogeneous, k
+        self._numbers = np.arange(1, ds.m + 1)  # a boolean index beats flatnonzero + 1 at small m
 
     def __len__(self) -> int:
-        return 1 << self._ds.n
+        return 1 << self.ds.n
 
     def __iter__(self) -> Iterator[SupracontextVerdict]:
-        return map(self._verdict, iter_masks(self._ds.n), range(len(self)))
+        return map(self._verdict, iter_masks(self.ds.n))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -316,22 +312,23 @@ class _LatticeVerdicts(Sequence):
             position += len(self)
         if not 0 <= position < len(self):
             raise IndexError(f"verdict index {index} out of range for {len(self)} masks")
-        return self._verdict(mask_at(self._ds.n, position), position)
+        return self._verdict(mask_at(self.ds.n, position))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
         return tuple(self) == tuple(other)
 
-    def _verdict(self, mask: Bits, index: int) -> SupracontextVerdict:
+    def _verdict(self, mask: Bits) -> SupracontextVerdict:
+        mask_int = bits_to_int(mask)
         # tuples from lists: tuples grown from generators fragment the heap
-        members, homogeneous = self._read(mask, index)
+        members = tuple(self._numbers[self.d & mask_int == 0].tolist())
         return SupracontextVerdict(
             mask=mask,
             members=members,
-            member_outcomes=tuple([self._ds.exemplars[j - 1].outcome for j in members]),
-            homogeneous=homogeneous,
-            m=self._ds.m,
+            member_outcomes=tuple([self.ds.exemplars[j - 1].outcome for j in members]),
+            homogeneous=bool(self.homogeneous[mask_int]),
+            m=self.ds.m,
         )
 
 

@@ -2,6 +2,7 @@
 
 import codecs
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,15 @@ import pytest
 
 import analogical.cli as cli
 from analogical import (
+    Dataset,
+    GateTrace,
     NoAnalogicalSupportError,
     analogical_set,
     bits_to_str,
     load_worked_example,
     predict_distribution,
+    run_qam_circuit,
+    serialize_dataset,
 )
 from helpers import EXPECTED_HOMOGENEOUS, EXPECTED_MEMBERS, EXPECTED_P2
 
@@ -159,7 +164,27 @@ def test_gates_trace_line(worked_path, capsys):
         capsys, "gates", "--dataset", worked_path, "--given", "o m a", "--trace"
     )
     assert code == 0
-    assert out.splitlines()[-1].startswith("trace: ")
+    assert out.splitlines()[-1] == "trace: 16044 steps"
+
+
+def test_gates_trace_line_truncated(tmp_path, capsys):
+    # m=12, n=5: more gates than a default trace keeps
+    rng = random.Random(3)
+    pairs = [(tuple(rng.choice("ab") for _ in range(5)), rng.choice("xy")) for _ in range(12)]
+    given = tuple(rng.choice("ab") for _ in range(5))
+    ds = Dataset.from_pairs(pairs)
+    path = tmp_path / "wide.tsv"
+    path.write_text(serialize_dataset(ds), encoding="utf-8")
+    full = GateTrace()
+    run_qam_circuit(ds, given, trace=full)
+    assert full.truncated and len(full.steps) == 200_000
+    argv = ("gates", "--dataset", str(path), "--given", " ".join(given), "--trace")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == f"trace: {len(full.steps)} steps (truncated)"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    report = json.loads(out)
+    assert (report["trace_steps"], report["trace_truncated"]) == (len(full.steps), full.truncated)
 
 
 def test_gates_json(worked_path, capsys):

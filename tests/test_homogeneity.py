@@ -242,6 +242,12 @@ def test_lazy_verdicts_match_per_mask_oracles(engine):
     rng = random.Random(2007)
     for ds, given in _oracle_instances(rng, 60):
         aset = engine(ds, given)
+        record, fast = aset.verdicts, analogical_set(ds, given).verdicts
+        # both engines build the same lattice record
+        for name in ("d", "homogeneous", "k"):
+            assert np.array_equal(getattr(record, name), getattr(fast, name))
+        squares = record.k[record.homogeneous].astype(np.int64) ** 2
+        assert int(squares.sum()) == aset.total_pointers
         verdicts = list(aset.verdicts)
         assert [v.mask for v in verdicts] == list(iter_masks(ds.n))
         counts = {o: 0 for o in ds.outcome_order}
@@ -249,6 +255,7 @@ def test_lazy_verdicts_match_per_mask_oracles(engine):
         for i, v in enumerate(verdicts):
             members = contained_exemplars(ds, given, v.mask)
             assert v.members == members
+            assert len(members) == record.k[bits_to_int(v.mask)]
             assert v.member_outcomes == tuple(ds.exemplars[j - 1].outcome for j in members)
             assert v.homogeneous == is_homogeneous_pointer(ds, given, v.mask)
             assert aset.verdicts[i] == v == aset.verdicts[i - len(verdicts)]
@@ -295,7 +302,7 @@ def test_wide_lattice_without_the_walk():
 
 
 def int64_yates(ds, given):
-    """Outcome counts, total and flags (indexed by c = NOT mask) from plain int64 passes."""
+    """Outcome counts, total, flags and unzeroed k (indexed by c = NOT mask) from plain int64 passes."""
     d_ints, outcomes = encode(ds, given)
     sums = np.zeros((len(ds.outcome_order) + 1, 1 << ds.n), dtype=np.int64)
     np.add.at(sums, (outcomes, d_ints), 1)
@@ -306,9 +313,9 @@ def int64_yates(ds, given):
     per_outcome, subcontexts = sums[:-1], sums[-1]
     k = per_outcome.sum(axis=0)
     homogeneous = (subcontexts <= 1) | (per_outcome.max(axis=0) == k)
-    k = np.where(homogeneous, k, 0)
-    counts = dict(zip(ds.outcome_order, (int(row @ k) for row in per_outcome)))
-    return counts, int(k @ k), homogeneous
+    kept = np.where(homogeneous, k, 0)
+    counts = dict(zip(ds.outcome_order, (int(row @ kept) for row in per_outcome)))
+    return counts, int(kept @ kept), homogeneous, k
 
 
 @pytest.mark.parametrize("seed", range(36))
@@ -322,10 +329,13 @@ def test_narrow_zeta_matches_int64_yates(seed):
     ]
     ds = Dataset.from_pairs(pairs)
     given = tuple(rng.choice("ab") for _ in range(n))
-    counts, total, homogeneous = int64_yates(ds, given)
+    counts, total, homogeneous, k = int64_yates(ds, given)
     aset = analogical_set(ds, given)
     assert aset.outcome_counts == counts
     assert aset.total_pointers == total
+    # the record is indexed by mask = 2^n - 1 - c
+    assert np.array_equal(aset.verdicts.k, k[::-1])
+    assert np.array_equal(aset.verdicts.homogeneous, homogeneous[::-1])
     positions = range(1 << n) if n <= 8 else rng.sample(range(1 << n), 64)
     for i in positions:
         v = aset.verdicts[i]
