@@ -27,29 +27,36 @@ Two more loops run as lanes the same way.  The m^2 comparators behind V2
 (and W2) each have fresh scratch and write only their own entry, so they
 run as one comparator over m^2 pair lanes: lane j*m + j' holds D[j] (O[j])
 as u, D[j'] (O[j']) as v and V2(j, j') (W2(j, j')) as the flag; P2 is one
-Toffoli over the same lanes.  In the containment scan, for a fixed j the
-inner iterations over j' (test D[j'] into Z, Toffoli Y, Z into C2(j, j'),
-test again) run as (mask, j') lanes: every word is m blocks of L mask
-lanes, S and Y are copied into every block, block j' holds D[j'], and the
-C2 row and the restoration checks are split back per block.  This applies
-to every mask exactly the gates of the serial loop, in another
-interleaving: the iterations only read S, D[j'] and Y, none of which the
-loop writes; each one returns Z to the value it found (the comparator is
-a palindrome, so its second application undoes the first flip); and
-iteration j' writes only C2(j, j').  So the iterations commute, and
-running them side by side on m copies of Z gives each mask the same
-gates, the same per-mask gate count and the same final registers.
+Toffoli over the same lanes.  The containment scan runs its rows j as
+lanes, and within them its inner iterations over j' (test D[j'] into Z,
+Toffoli Y, Z into C2(j, j'), test again).  The inner iterations only read
+S, D[j'] and Y, none of which the inner loop writes; each one returns Z to
+the value it found (the comparator is a palindrome, so its second
+application undoes the first flip); and iteration j' writes only
+C2(j, j').  A row j (test D[j] into Y, the inner loop, test again) likewise
+reads only S and D, returns Y, and with it Z, to the values it found, and
+writes only row j of C2.  So the rows commute, and so do the iterations
+within a row: running them side by side on copies of Y and Z applies to
+every mask the same gates, with the same per-mask gate count and the same
+final registers.  Every scan word is a run of blocks of B = ceil(L / 8)
+bytes, one block per item holding its L mask lanes: a window of rows runs
+its Y tests on (j, mask) words and its inner tests on (j, j', mask) words,
+in which S is copied into every block, D[j] or D[j'] fills its blocks, the
+C2 entries are joined and split back by bytes, and the restoration checks
+are the OR of the blocks.  Since a comparator costs more per byte on wider
+words, a window holds as many rows as keep its (j, j', mask) words within
+16 KB, and at least one.
 
-Each of these loops (pairs, P2 entries, masks, and j' within a mask) has
-one body, which runs a window of items side by side; an untraced run
-makes one window per loop.  With a :class:`GateTrace` attached the items
-run in windows of one item of the same code, on plain 0/1 bits.  A
-window's registers take the names of its first item's, and a word cut
-from a register records that register's indices (``_Lanes.offset``), so
-every recorded step is the one the serial circuit applies.  Once the
-trace is truncated the items left run in one window, and ``trace.tally``
-counts each of their lane gates once per item.  Results do not depend on
-the lane width.
+Each of these loops (pairs, P2 entries, masks, rows of the scan, and j'
+within them) has one body, which runs a window of items side by side; an
+untraced run makes one window per loop, except for the scan's rows.  With a
+:class:`GateTrace` attached the items run in windows of one item of the
+same code, on plain 0/1 bits.  A window's registers take the names of its
+first item's, and a word cut from a register records that register's
+indices (``_Lanes.offset``), so every recorded step is the one the serial
+circuit applies.  Once the trace is truncated the items left run in
+windows as an untraced run would, and ``trace.tally`` counts each of their
+lane gates once per item.  Results do not depend on the lane width.
 
 Matrix registers are kept flat in row-major order: entry (j, j') of an
 m x m array lives at position k = (j - 1) * m + j', with j, j' and k
@@ -128,10 +135,6 @@ class BitRegister(_Lanes):
     @classmethod
     def zeros(cls, name: str, length: int) -> "BitRegister":
         return cls(name, [0] * length)
-
-    @classmethod
-    def ones(cls, name: str, length: int) -> "BitRegister":
-        return cls(name, [1] * length)
 
     def __setitem__(self, i: int, value: int) -> None:
         if value != 0 and value != 1:
@@ -428,21 +431,24 @@ class _LaneTally:
         self.tally[op] += self.per_gate
 
 
-def _run_items(count: int, run, trace: GateTrace | None) -> None:
+def _run_items(count: int, run, trace: GateTrace | None, window: int | None = None) -> None:
     """Run items 0..count-1 of a step in windows; ``run(start, stop, trace)`` runs a window side by side.
 
-    Without a trace every item runs in one window.  While ``trace`` records,
-    each item runs in a window of one item of the same code, which records
-    exactly the steps the serial circuit applies to it; once the trace is
-    truncated the items left run in one window and their gates go to
-    ``trace.tally`` once per item.
+    Without a trace the items run in windows of ``window`` items, all of them
+    in one window by default.  While ``trace`` records, each item runs in a
+    window of one item of the same code, which records exactly the steps the
+    serial circuit applies to it; once the trace is truncated the items left
+    run in windows of ``window`` items and their gates go to ``trace.tally``
+    once per item.
     """
     start = 0
     while trace is not None and not trace.truncated and start < count:
         run(start, start + 1, trace)
         start += 1
-    if start < count:
-        run(start, count, None if trace is None else _LaneTally(trace, count - start))
+    window = window or count
+    for lo in range(start, count, window):
+        hi = min(lo + window, count)
+        run(lo, hi, None if trace is None else _LaneTally(trace, hi - lo))
 
 
 def _entry_lanes(reg: _Lanes, start: int, stop: int) -> _Lanes:
@@ -465,6 +471,27 @@ def _matrix_register(name: str, matrix, trace: GateTrace | None) -> tuple[BitReg
     return reg, arr.shape[0]
 
 
+# Bytes of the widest word of one window of containment-scan rows.  Per byte,
+# a comparator over 115 KB words costs twice what it costs over 15 KB words,
+# and over 1.8 MB words three times, so the rows run in windows that fit.
+_SCAN_WORD_BYTES = 16_384
+
+
+def _tile(word: int, size: int, count: int) -> int:
+    """``count`` copies of ``word``, each a block of ``size`` bytes."""
+    return int.from_bytes(word.to_bytes(size, "little") * count, "little")
+
+
+def _split(word: int, size: int, count: int) -> np.ndarray:
+    """The ``count`` blocks of ``size`` bytes of ``word`` as a (count, size) uint8 array."""
+    return np.frombuffer(word.to_bytes(size * count, "little"), np.uint8).reshape(count, size)
+
+
+def _word(blocks: np.ndarray) -> int:
+    """The word whose bytes, lowest first, are those of ``blocks``; undoes :func:`_split`."""
+    return int.from_bytes(blocks.tobytes(), "little")
+
+
 def _containment_scan(
     s_reg: _Lanes,
     d_regs: Sequence[_Lanes],
@@ -478,53 +505,64 @@ def _containment_scan(
 
     ``d_regs`` hold each exemplar's difference bits, shared by every lane.
     C2(j, j') becomes 1 iff both difference vectors are in the supracontext.
-    For each j the inner tests over a window of j' run as (mask, j') lanes:
-    block b of each wide word holds the mask lanes of j' = start + b (see
-    the module docstring for why that applies the same gates).  Returns the
-    word of lanes in which an ancilla or either flag register did not come
-    back to its preset (0 when every lane is restored).
+    A window of rows j runs its Y tests as (j, mask) lanes and its inner
+    tests over a window of j' as (j, j', mask) lanes (see the module
+    docstring for why that applies the same gates).  Each word is a run of
+    blocks of ``size`` bytes, one block per (j) or (j, j') item, holding
+    its mask lanes.  Returns the word of lanes in which an ancilla or
+    either flag register did not come back to its preset (0 when every
+    lane is restored).
     """
     m = len(d_regs)
-    width = ones.bit_length()  # mask lanes per j' block
-    d_bits = [d.bits for d in d_regs]
+    size = (ones.bit_length() + 7) // 8  # bytes per block of mask lanes
+    # d_blocks[i, b]: the block of exemplar b's difference bit i, ALL or 0
+    d_blocks = np.multiply.outer(np.array([d.bits for d in d_regs], np.uint8).T, _split(ones, size, 1)[0])
     bad = 0
 
-    @cache
-    def tiled(start: int, stop: int) -> tuple[_Lanes, _Lanes, int, int]:
-        # S copied into every j' block, D[j'] broadcast over block j' - start
-        rep = sum(1 << b * width for b in range(stop - start))
-        window = list(enumerate(d_bits[start:stop]))
-        s_t = _Lanes(s_reg.name, [w * rep for w in s_reg])
-        d_t = [sum(ones << b * width for b, d in window if d[i]) for i in range(len(s_reg))]
-        return s_t, _Lanes(d_regs[start].name, d_t), ones * rep, rep
+    def fold(word: int, count: int) -> int:
+        # the OR of a word's blocks: a lane is bad if it is bad in any item
+        return _word(np.bitwise_or.reduce(_split(word, size, count)))
 
-    for j in range(m):
-        row = j * m
+    @cache
+    def tiled(copies: int, start: int, stop: int) -> tuple[_Lanes, _Lanes, int]:
+        # copies runs of blocks start..stop-1: S in every block, D[b] in block b
+        s_t = _Lanes(s_reg.name, [_tile(w, size, copies * (stop - start)) for w in s_reg])
+        d_t = [int.from_bytes(blocks.tobytes() * copies, "little") for blocks in d_blocks[:, start:stop]]
+        return s_t, _Lanes(d_regs[start].name, d_t), _tile(ones, size, copies * (stop - start))
+
+    def run_rows(first: int, last: int, trace) -> None:
+        nonlocal bad
+        rows = last - first
+        s_y, d_y, all_y = tiled(1, first, last)
+        y_t = _Lanes(y_reg.name, [_tile(y_reg[0], size, rows)])
+        bad_y = all_y ^ _comparator_apply("and", s_y, d_y, all_y, y_t, 0, all_y, trace)
 
         def run(start: int, stop: int, trace) -> None:
             nonlocal bad
-            s_t, d_t, all_t, rep = tiled(start, stop)
-            y_t = _Lanes(y_reg.name, [y_reg[0] * rep])
-            z_t = _Lanes(z_reg.name, [z_reg[0] * rep])
-            blocks = range(stop - start)
-            c_t = _Lanes(c2_reg.name, [sum(c2_reg[row + start + b] << b * width for b in blocks)], row + start)
+            s_t, d_t, all_t = tiled(rows, start, stop)
+            count = rows * (stop - start)
+            entries = [k for j in range(first, last) for k in range(j * m + start, j * m + stop)]
+            y_row = _Lanes(y_reg.name, [_word(np.repeat(_split(y_t[0], size, rows), stop - start, axis=0))])
+            z_t = _Lanes(z_reg.name, [_tile(z_reg[0], size, count)])
+            c_word = b"".join(c2_reg[k].to_bytes(size, "little") for k in entries)
+            c_t = _Lanes(c2_reg.name, [int.from_bytes(c_word, "little")], entries[0])
             bad_t = all_t ^ _comparator_apply("and", s_t, d_t, all_t, z_t, 0, all_t, trace)
-            _ccnot(y_t, 0, z_t, 0, c_t, 0, trace)
+            _ccnot(y_row, 0, z_t, 0, c_t, 0, trace)
             bad_t |= all_t ^ _comparator_apply("and", s_t, d_t, all_t, z_t, 0, all_t, trace)
-            bad_t |= z_t[0]
-            for b in blocks:
-                c2_reg._bits[row + start + b] = c_t[0] >> b * width & ones
-                bad |= bad_t >> b * width & ones
+            bad |= fold(bad_t | z_t[0], count)
+            data = c_t[0].to_bytes(size * count, "little")
+            for b, k in enumerate(entries):
+                c2_reg._bits[k] = int.from_bytes(data[b * size:(b + 1) * size], "little")
 
-        s_j, d_j, _, _ = tiled(j, j + 1)
-        bad |= ones ^ _comparator_apply("and", s_j, d_j, ones, y_reg, 0, ones, trace)
         _run_items(m, run, trace)
-        bad |= ones ^ _comparator_apply("and", s_j, d_j, ones, y_reg, 0, ones, trace)
-        bad |= y_reg._bits[0]
+        bad_y |= all_y ^ _comparator_apply("and", s_y, d_y, all_y, y_t, 0, all_y, trace)
+        bad |= fold(bad_y | y_t[0], rows)
+
+    _run_items(m, run_rows, trace, max(1, _SCAN_WORD_BYTES // (m * size)))
     return bad
 
 
-def _pair_array(regs: Sequence[BitRegister], out_reg: BitRegister, trace: GateTrace | None) -> None:
+def _pair_array(regs: Sequence[_Lanes], out_reg: _Lanes, trace: GateTrace | None) -> None:
     """Flip out(j, j') iff regs[j] == regs[j'], one comparator per ordered pair (V2 from D, W2 from O).
 
     A window of pairs runs as the lanes of one comparator: lane k - start
@@ -546,7 +584,7 @@ def _pair_array(regs: Sequence[BitRegister], out_reg: BitRegister, trace: GateTr
     _run_items(m * m, run, trace)
 
 
-def _and_entries(a_reg: BitRegister, b_reg: BitRegister, out_reg: BitRegister, trace: GateTrace | None) -> None:
+def _and_entries(a_reg: _Lanes, b_reg: _Lanes, out_reg: _Lanes, trace: GateTrace | None) -> None:
     """out ^= a AND b entrywise, one Toffoli per entry run as one lane each (P2 from V2/W2)."""
 
     def run(start: int, stop: int, trace) -> None:
@@ -658,9 +696,9 @@ def build_analogy_array(c2, homog_flag, trace: GateTrace | None = None) -> np.nd
 
 # --- the full pipeline ------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupracontextCircuitResult:
-    """Per-mask circuit outputs; the flag uses 1 = homogeneous."""
+    """Per-mask circuit outputs; the flag uses 1 = homogeneous.  Equal only to itself."""
 
     mask: Bits
     c2: np.ndarray
@@ -670,12 +708,13 @@ class SupracontextCircuitResult:
     ancillas_restored: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircuitRun:
     """Shared pair arrays plus every mask's circuit outputs as lane words.
 
     Lane l of each word belongs to ``masks[l]``; C2, H2 and A2 hold one
     word per flat m x m entry.  :attr:`results` unpacks them on first read.
+    A run is equal only to itself, as its numpy fields have no truth value.
     """
 
     d: np.ndarray  # :func:`encode`'s difference vectors, as loaded into D
@@ -704,8 +743,8 @@ class CircuitRun:
 
 def _supracontext_circuits(
     masks: Sequence[Bits],
-    d_regs: Sequence[BitRegister],
-    p2_reg: BitRegister,
+    d_regs: Sequence[_Lanes],
+    p2_reg: _Lanes,
     trace: GateTrace | None,
 ) -> list[int]:
     """Run the per-mask circuit once, lane l carrying ``masks[l]``.
@@ -768,11 +807,12 @@ def run_qam_circuit(
     # each outcome's index in a fixed-width binary code, first appearance first
     width = max(1, int(outcomes.max()).bit_length())
 
-    d_regs = [BitRegister(f"D[{j}]", int_to_bits(d, ds.n)) for j, d in enumerate(d_ints.tolist(), 1)]
-    o_regs = [BitRegister(f"O[{j}]", int_to_bits(o, width)) for j, o in enumerate(outcomes.tolist(), 1)]
-    v2_reg = BitRegister.ones("V2", m * m)
-    w2_reg = BitRegister.ones("W2", m * m)
-    p2_reg = BitRegister.zeros("P2", m * m)
+    # the engine's own registers hold bits by construction, so they skip BitRegister's check
+    d_regs = [_Lanes(f"D[{j}]", int_to_bits(d, ds.n)) for j, d in enumerate(d_ints.tolist(), 1)]
+    o_regs = [_Lanes(f"O[{j}]", int_to_bits(o, width)) for j, o in enumerate(outcomes.tolist(), 1)]
+    v2_reg = _Lanes("V2", [1] * (m * m))
+    w2_reg = _Lanes("W2", [1] * (m * m))
+    p2_reg = _Lanes("P2", [0] * (m * m))
     if trace is not None:
         for reg in (*d_regs, *o_regs, v2_reg, w2_reg, p2_reg):
             trace.track(reg)
@@ -790,9 +830,17 @@ def run_qam_circuit(
         words[:] = [w | p << start for w, p in zip(words, part)]
 
     _run_items(len(masks), run_masks, trace)
-    v2, w2, p2 = (_lane_matrices(reg, 1, m)[0] for reg in (v2_reg, w2_reg, p2_reg))
+    v2, w2, p2 = (np.array(reg._bits, np.uint8).reshape(m, m) for reg in (v2_reg, w2_reg, p2_reg))
     c2, h2, a2 = (tuple(words[i * m * m:(i + 1) * m * m]) for i in range(3))
     return CircuitRun(d_ints, v2, w2, p2, tuple(masks), c2, h2, a2, *words[-2:])
+
+
+@cache
+def _lane_of(n: int) -> np.ndarray:
+    """The lane of each mask int in a run over :func:`iter_masks` order; read-only, as it is shared."""
+    lane_of = np.argsort(np.array(list(iter_masks(n))) @ (1 << np.arange(n - 1, -1, -1)))
+    lane_of.flags.writeable = False
+    return lane_of
 
 
 def to_analogical_set(run: CircuitRun, ds: Dataset) -> AnalogicalSet:
@@ -809,10 +857,11 @@ def to_analogical_set(run: CircuitRun, ds: Dataset) -> AnalogicalSet:
         raise ValueError(
             f"circuit run is for {m} exemplars and {n} features, dataset has {ds.m} and {ds.n}"
         )
-    counts: dict[str, int] = {o: 0 for o in ds.outcome_order}
-    for k, word in enumerate(run.a2_words):
-        counts[ds.exemplars[k % ds.m].outcome] += word.bit_count()
-    lane_of = np.argsort(np.array(run.masks) @ (1 << np.arange(n - 1, -1, -1)))  # per mask int
+    columns = np.array([w.bit_count() for w in run.a2_words], np.int64).reshape(m, m).sum(axis=0)
+    # float64 sums are exact here: a total past 2^53 needs more lane words than memory holds
+    per_outcome = np.bincount(ds._codes.outcomes, columns, len(ds.outcome_order))
+    counts = dict(zip(ds.outcome_order, per_outcome.astype(np.int64).tolist()))
+    lane_of = _lane_of(n)
     homogeneous = _unpack_lanes([run.flag_word], len(lane_of))[lane_of, 0] == 1
     k = _unpack_lanes(run.c2_words[:: m + 1], len(lane_of)).sum(axis=1, dtype=np.min_scalar_type(m))
     return AnalogicalSet(

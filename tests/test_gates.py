@@ -339,18 +339,22 @@ def test_trace_steps_are_pinned(instance, steps, sha256, monkeypatch):
 
 def test_truncation_anywhere_keeps_results_steps_and_tally(worked, monkeypatch):
     # cut points inside V2, W2 and P2 (steps 0-1259), inside the first mask's
-    # containment scan and sweep (1260-3107), and inside later masks
+    # containment scan (1260-2891, 272 steps per row) and sweep (to 3107), and
+    # inside later masks; with two-row windows the rows left after a cut in
+    # the scan, and every later mask's rows, run in several windows
     ds, given = worked
     untraced = _circuit_fields(run_qam_circuit(ds, given))
     _, full = _numbered_trace(ds, given, monkeypatch)
     steps = _step_tuples(full)
-    for cut in (0, 1, 10, 30, 900, 1249, 1259, 1260, 1261, 1300, 1340, 1500, 2000, 2500,
-                3107, 3108, 3200, 5000, 16_043):
-        run, trace = _numbered_trace(ds, given, monkeypatch, max_steps=cut)
-        assert trace.truncated, cut
-        assert _step_tuples(trace) == steps[:cut], cut
-        assert trace.tally == full.tally, cut
-        assert _circuit_fields(run) == untraced, cut
+    for window_bytes in (gates._SCAN_WORD_BYTES, 2 * ds.m):  # blocks of one byte: all rows, then 2
+        monkeypatch.setattr(gates, "_SCAN_WORD_BYTES", window_bytes)
+        for cut in (0, 1, 10, 30, 900, 1249, 1259, 1260, 1261, 1300, 1340, 1500, 2000, 2500,
+                    3107, 3108, 3200, 5000, 16_043):
+            run, trace = _numbered_trace(ds, given, monkeypatch, max_steps=cut)
+            assert trace.truncated, cut
+            assert _step_tuples(trace) == steps[:cut], cut
+            assert trace.tally == full.tally, cut
+            assert _circuit_fields(run) == untraced, cut
 
 
 class _CountingTrace(GateTrace):
@@ -393,16 +397,19 @@ def test_truncated_trace_stops_recording_at_the_cut(worked):
     assert _circuit_fields(run) == _circuit_fields(run_qam_circuit(ds, given))
 
 
-def test_untraced_run_calls_the_comparator_4m_plus_2_times(worked, monkeypatch):
+def test_untraced_run_calls_the_comparator_2_plus_4w_times(worked, monkeypatch):
     ds, given = worked
     calls = []
     apply = gates._comparator_apply
     monkeypatch.setattr(gates, "_comparator_apply", lambda *args: calls.append(args) or apply(*args))
-    run = run_qam_circuit(ds, given)
-    # V2 and W2 once each over m^2 pair lanes; per j the two Y tests over mask
-    # lanes and the two Z tests over (mask, j') lanes
-    assert len(calls) == 4 * ds.m + 2 == 26
-    assert to_analogical_set(run, ds).outcome_counts == EXPECTED_COUNTS
+    # V2 and W2 once each over m^2 pair lanes; per window of rows the two Y
+    # tests over (j, mask) lanes and the two Z tests over (j, j', mask) lanes
+    for window_bytes, windows in ((gates._SCAN_WORD_BYTES, 1), (ds.m, 6), (4 * ds.m, 2)):
+        monkeypatch.setattr(gates, "_SCAN_WORD_BYTES", window_bytes)  # one byte per mask block
+        calls.clear()
+        run = run_qam_circuit(ds, given)
+        assert len(calls) == 2 + 4 * windows, window_bytes
+        assert to_analogical_set(run, ds).outcome_counts == EXPECTED_COUNTS
 
 
 def test_readout_rejects_a_dataset_of_another_shape(worked):
@@ -427,11 +434,20 @@ def test_readback_unpacks_only_the_pair_arrays(worked, monkeypatch):
     assert [v.members for v in aset.verdicts] == [
         EXPECTED_MEMBERS[bits_to_str(v.mask)] for v in aset.verdicts
     ]
-    # V2, W2 and P2; the per-mask C2, H2 and A2 stay lane words
-    assert len(calls) == 3
+    # V2, W2 and P2 are read off their registers; C2, H2 and A2 stay lane words
+    assert len(calls) == 0
     # the first read unpacks C2, H2 and A2; a second read reuses them
     assert run.results is run.results
-    assert len(run.results) == 8 and len(calls) == 6
+    assert len(run.results) == 8 and len(calls) == 3
+
+
+def test_runs_and_results_compare_by_identity(worked):
+    ds, given = worked
+    first, second = run_qam_circuit(ds, given), run_qam_circuit(ds, given)
+    assert (first == first) is True and (first == second) is False
+    assert (first.results[0] == first.results[0]) is True
+    assert (first.results[0] == second.results[0]) is False
+    assert len({first, second, *first.results, *second.results}) == 2 + 2 * len(first.results)
 
 
 # --- the lane engine -----------------------------------------------------------------
@@ -484,6 +500,15 @@ def test_lanes_match_traced_mask_by_mask():
         one_by_one = run_qam_circuit(ds, given, trace=trace)
         assert not trace.truncated
         assert _circuit_fields(run_qam_circuit(ds, given)) == _circuit_fields(one_by_one)
+
+
+def test_scan_windows_match_traced_mask_by_mask(monkeypatch):
+    for ds, given in _lane_instances():
+        one_by_one = _circuit_fields(run_qam_circuit(ds, given, trace=_TallyTrace()))
+        size = -(-2 ** ds.n // 8)  # every mask runs as a lane of blocks of this many bytes
+        for rows in (1, 2):
+            monkeypatch.setattr(gates, "_SCAN_WORD_BYTES", rows * ds.m * size)
+            assert _circuit_fields(run_qam_circuit(ds, given)) == one_by_one, rows
 
 
 def test_lanes_restore_every_ancilla():
