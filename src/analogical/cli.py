@@ -12,6 +12,11 @@ Exit codes: 0 success, 2 file or format problem (also used by argparse for
 usage errors), 3 context width over the configured cap, 4 no analogical
 support.  Text reports are byte-identical across engines; JSON reports
 carry ``"schema_version": 1`` and keep exact rationals as strings.
+
+Reports are streamed to stdout one mask block or record at a time; every
+error that maps to an exit code is raised before the first byte.  A JSON
+report is byte-identical to ``json.dumps(report, indent=2)`` plus a
+newline, with non-ASCII text as ``\\uXXXX`` escapes.
 """
 
 from __future__ import annotations
@@ -19,9 +24,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
-from itertools import combinations, product
+from functools import cache
+from itertools import chain, product, starmap
 from typing import Sequence
+
+import numpy as np
 
 from .core import (
     DEFAULT_N_CAP,
@@ -91,8 +100,82 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit_json(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+# --- JSON writer ------------------------------------------------------------
+
+_json_str = json.encoder.encode_basestring_ascii  # raises TypeError on a non-str key
+_INT = frozenset({int})
+_STR = frozenset({str})
+_SEQUENCE = frozenset({list, tuple})
+
+
+def _json(obj, nl: str) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2)`` renders it at newline-and-indent ``nl``.
+
+    A list of strings, of exact ints, or of equal-length lists of exact ints
+    (matrix rows, index pairs) renders with one join and no Python call per
+    item.  Any type the json module cannot encode raises TypeError.
+    """
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        kinds = {*map(type, obj)}
+        if kinds == _INT:
+            body = map(str, obj)
+        elif kinds == _STR:
+            body = map(_json_str, obj)
+        elif (
+            kinds <= _SEQUENCE
+            and len(widths := {*map(len, obj)}) == 1
+            and {*map(type, chain.from_iterable(obj))} == _INT
+        ):
+            deeper = inner + "  "
+            row = "[" + deeper + ("," + deeper).join(["{}"] * widths.pop()) + inner + "]"
+            body = starmap(row.format, obj)
+        else:
+            body = [_json(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(body) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = [_json_str(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return json.dumps(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _emit_json(report: dict) -> None:
+    """Write ``json.dumps(report, indent=2)`` and a newline, one chunk at a time.
+
+    A top-level value that is an iterator is written as a list, one item at
+    a time, so its items are built, rendered and dropped one by one.
+    """
+    write = sys.stdout.write
+    sep = "{\n  "
+    for key, value in report.items():
+        write(sep + _json_str(key) + ": ")
+        sep = ",\n  "
+        if not isinstance(value, Iterator):
+            write(_json(value, "\n  "))
+            continue
+        opener = "["
+        for item in value:
+            write(opener + "\n    " + _json(item, "\n    "))
+            opener = ","
+        write("[]" if opener == "[" else "\n  ]")
+    write("{}\n" if sep == "{\n  " else "\n}\n")
 
 
 # --- shared report pieces ---------------------------------------------------
@@ -110,8 +193,12 @@ def _probabilities_json(dist: OutcomeDistribution) -> dict[str, str]:
     return {o: str(p) for o, p in dist.probabilities.items()}
 
 
-def _matrix_lines(matrix) -> list[str]:
-    return [" ".join(map(str, row)) for row in matrix.tolist()]
+def _matrix_text(name: str, matrix: np.ndarray) -> str:
+    """``name:`` and then one line per row of a 0/1 matrix, entries separated by spaces."""
+    chars = np.full((len(matrix), 2 * matrix.shape[1]), ord(" "), np.uint8)
+    chars[:, ::2] = matrix + ord("0")
+    chars[:, -1] = ord("\n")
+    return f"{name}:\n" + chars.tobytes().decode("ascii")
 
 
 # --- subcommands ------------------------------------------------------------
@@ -164,17 +251,26 @@ def _explain_record(v: SupracontextVerdict, keys: Sequence[str], p2) -> dict:
         "verdicts": criteria_verdicts(v.members, member_keys, v.member_outcomes, p2),
         "pointer_count": v.pointer_count,
         "pointers": list(product(v.members, repeat=2)) if v.homogeneous else [],
-        "offending_pairs": []
-        if v.homogeneous
-        else [(a, b) for a, b in combinations(v.members, 2) if p2[a - 1, b - 1]],
+        "offending_pairs": [] if v.homogeneous else _offending_pairs(v.members, p2),
     }
 
 
-def _explain_block(rec: dict, labels: Sequence[str]) -> list[str]:
+def _offending_pairs(members: Sequence[int], p2: np.ndarray) -> list[list[int]]:
+    """The member pairs (a, b), a listed before b, with ``p2[a - 1, b - 1]`` set.
+
+    They come in the order of ``itertools.combinations(members, 2)``: the
+    row-major order of the upper triangle of P2's member block.
+    """
+    js = np.array(members, dtype=np.intp)
+    a, b = np.triu(p2[np.ix_(js - 1, js - 1)], 1).nonzero()
+    return np.column_stack((js[a], js[b])).tolist()
+
+
+def _explain_block(rec: dict, labels: Sequence[str]) -> str:
     """The text block of one explain record, blank line included."""
     members = rec["members"]
     if not members:
-        return [f"mask {rec['mask']}: empty, homogeneous, 0 pointers", ""]
+        return f"mask {rec['mask']}: empty, homogeneous, 0 pointers\n\n"
     word = "member" if len(members) == 1 else "members"
     verdicts = rec["verdicts"]
     agree = "agree" if len(set(verdicts.values())) == 1 else "disagree"
@@ -196,8 +292,7 @@ def _explain_block(rec: dict, labels: Sequence[str]) -> list[str]:
             "  offending pairs: " + ", ".join(f"({a}, {b})" for a, b in rec["offending_pairs"])
         )
         lines.append("  pointers (0): none")
-    lines.append("")
-    return lines
+    return "\n".join(lines) + "\n\n"
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
@@ -206,7 +301,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     dist = predict_distribution(aset)
     keys = [format(d, f"0{ds.n}b") for d in encode(ds, given)[0].tolist()]
     p2 = pointer_heterogeneity_matrix(ds, given)
-    records = [_explain_record(v, keys, p2) for v in aset.verdicts]
+    records = (_explain_record(v, keys, p2) for v in aset.verdicts)
 
     if args.format == "json":
         _emit_json(
@@ -224,16 +319,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     labels = [f"{' '.join(e.context)} / {e.outcome}" for e in ds.exemplars]
-    lines = [
-        f"dataset: {ds.m} exemplars, {ds.n} features",
-        f"given: {' '.join(given)}",
-        "",
-    ]
+    write = sys.stdout.write
+    write(f"dataset: {ds.m} exemplars, {ds.n} features\ngiven: {' '.join(given)}\n\n")
     for rec in records:
-        lines.extend(_explain_block(rec, labels))
-    lines.append(_distribution_line(dist, aset.total_pointers))
-    lines.append(_counts_line(aset))
-    _emit("\n".join(lines))
+        write(_explain_block(rec, labels))
+    write(f"{_distribution_line(dist, aset.total_pointers)}\n{_counts_line(aset)}\n")
     return EXIT_OK
 
 
@@ -257,7 +347,7 @@ def cmd_gates(args: argparse.Namespace) -> int:
             "v2": run.v2.tolist(),
             "w2": run.w2.tolist(),
             "p2": run.p2.tolist(),
-            "masks": [
+            "masks": (
                 {
                     "mask": bits_to_str(r.mask),
                     "c2": r.c2.tolist(),
@@ -267,7 +357,7 @@ def cmd_gates(args: argparse.Namespace) -> int:
                     "ancillas_restored": r.ancillas_restored,
                 }
                 for r in run.results
-            ],
+            ),
             "total_pointers": aset.total_pointers,
         }
         if trace is not None:
@@ -275,25 +365,19 @@ def cmd_gates(args: argparse.Namespace) -> int:
         _emit_json(obj)
         return EXIT_OK
 
-    lines = [f"dataset: {ds.m} exemplars, {ds.n} features", f"given: {' '.join(given)}"]
-    for name, matrix in (("V2", run.v2), ("W2", run.w2), ("P2", run.p2)):
-        lines.append(f"{name}:")
-        lines.extend(_matrix_lines(matrix))
+    write = sys.stdout.write
+    write(f"dataset: {ds.m} exemplars, {ds.n} features\ngiven: {' '.join(given)}\n")
+    write(_matrix_text("V2", run.v2) + _matrix_text("W2", run.w2) + _matrix_text("P2", run.p2))
     for r in run.results:
         status = "restored" if r.ancillas_restored else "NOT restored"
-        lines.append("")
-        lines.append(
-            f"mask {bits_to_str(r.mask)}: flag {int(r.homogeneous)} "
-            f"({'homogeneous' if r.homogeneous else 'heterogeneous'}), ancillas {status}"
+        write(
+            f"\nmask {bits_to_str(r.mask)}: flag {int(r.homogeneous)} "
+            f"({'homogeneous' if r.homogeneous else 'heterogeneous'}), ancillas {status}\n"
+            + _matrix_text("C2", r.c2) + _matrix_text("H2", r.h2) + _matrix_text("A2", r.a2)
         )
-        for name, matrix in (("C2", r.c2), ("H2", r.h2), ("A2", r.a2)):
-            lines.append(f"{name}:")
-            lines.extend(_matrix_lines(matrix))
-    lines.append("")
-    lines.append(f"total pointers: {aset.total_pointers}")
+    write(f"\ntotal pointers: {aset.total_pointers}\n")
     if trace is not None:
-        lines.append(f"trace: {kept} steps{' (truncated)' if truncated else ''}")
-    _emit("\n".join(lines))
+        write(f"trace: {kept} steps{' (truncated)' if truncated else ''}\n")
     return EXIT_OK
 
 
@@ -462,8 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of main and reused, as parsing leaves no state in the parser
+_parser = cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:

@@ -425,15 +425,45 @@ def test_exit_code_no_support(worked_path, capsys, monkeypatch):
         raise NoAnalogicalSupportError("no homogeneous supracontext has members")
 
     monkeypatch.setattr(cli, "predict_distribution", raiser)
-    code, _, err = run_cli(
-        capsys, "predict", "--dataset", worked_path, "--given", "o m a"
-    )
-    assert code == cli.EXIT_NO_SUPPORT
-    code, _, err = run_cli(
-        capsys, "sample", "--dataset", worked_path, "--given", "o m a",
-        "--seed", "1",
-    )
-    assert code == cli.EXIT_NO_SUPPORT
+    data = ["--dataset", worked_path, "--given", "o m a"]
+    for argv in (
+        ["predict", *data],
+        ["sample", *data, "--seed", "1"],
+        # the report streams, so the error must come before its first byte
+        ["explain", *data],
+        ["explain", *data, "--format", "json"],
+        ["measures", *data],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (cli.EXIT_NO_SUPPORT, ""), argv
+        assert err.startswith("error: no homogeneous supracontext")
+
+
+def test_parser_keeps_no_state_between_calls(worked_path, capsys):
+    data = ["--dataset", worked_path, "--given", "o m a"]
+    calls = [
+        ["predict", *data, "--engine", "gates", "--format", "json"],
+        ["predict", *data],
+        ["predict", *data, "--format", "xml"],
+        ["explain", *data],
+    ]
+
+    def run(call, argv):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    def fresh(argv):
+        args = cli.build_parser().parse_args(argv)
+        return args.func(args)
+
+    capsys.readouterr()
+    expected = [run(fresh, argv) for argv in calls]
+    assert [result[0] for result in expected] == [0, 0, 2, 0]
+    assert [run(cli.main, argv) for argv in calls] == expected
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_unknown_subcommand_usage_error(capsys):

@@ -3,7 +3,10 @@
 Each case runs one subcommand in-process and pins the SHA-256 of its stdout
 together with its exit code.  The digests were recorded before the engines
 began sharing one lattice record, so any change to a report's bytes, in
-either engine or format, fails here.
+either engine or format, fails here.  The ``escaped`` dataset's digests were
+recorded before reports were streamed through the JSON writer, so they pin
+the escaping of ``json.dumps(indent=2)``: quotes, backslashes, and non-ASCII
+and astral-plane text as ``\\uXXXX`` escapes.
 """
 
 import hashlib
@@ -24,6 +27,20 @@ def _generated_text() -> tuple[str, str]:
     rng.shuffle(outcomes)
     lines = [f"{o}\t{' '.join(rng.choice('abc') for _ in range(5))}" for o in outcomes]
     return "\n".join(lines) + "\n", " ".join(rng.choice("abc") for _ in range(5))
+
+
+# outcome labels and feature symbols that a JSON report must escape
+ESCAPED_TEXT = (
+    '"q"\ta"b c\\d \u00e9\n'
+    'back\\slash\ta"b x \u2603\n'
+    '\u00e9\tz c\\d \u00e9\n'
+    '\u2603\ta"b c\\d \U0001d11e\n'
+    '"q"\tz x \u00e9\n'
+    '\u00e9\ta"b x \U0001d11e\n'
+    'back\\slash\tz c\\d \u2603\n'
+    '\u2603\ta"b c\\d \u00e9\n'
+)
+ESCAPED_GIVEN = 'a"b c\\d \u00e9'
 
 
 def _cases():
@@ -73,21 +90,39 @@ GOLDEN = {
     ("generated", "gates-text-trace"): (0, "8521996d76bd0edb83b40523d119871ad6ea70a233c65db3e895d3d0f03d7145"),
     ("generated", "gates-json"): (0, "34d4cfbec35d86e093111f446503094f4c93e7156f2f84fd6b1b2d315ea28b8b"),
     ("generated", "gates-json-trace"): (0, "d9c2c22e6fd4090a4afc5e783489ed17ca96b81490a786ee74ef7b1c8141509d"),
+    ("escaped", "predict-text-fast"): (0, "669c35f082f1d784b43c1ae286a240ed3bf9103c30eb80d0caec237d903cb50b"),
+    ("escaped", "explain-text-fast"): (0, "f259259c99305cc443efb603e27407f40903c033deb154049459e3aa15abf9a3"),
+    ("escaped", "sample-text-fast"): (0, "8d502da610b3c153d5aedaaf5323c0d49f61401d4791b4b1ffe9e36c6cbe09a0"),
+    ("escaped", "predict-json-fast"): (0, "5a2e779e1f3b6ac47ac7afbe704f08d3a81d8318c2ae8e1ad0e47c1350b87fb5"),
+    ("escaped", "explain-json-fast"): (0, "a1eca4bacd936849940b0f80010978ec008b674f8177bb9d7414274ab7977c12"),
+    ("escaped", "sample-json-fast"): (0, "03dd0e6becece54f7d32a8b349277fba896d19f38da0363885ea7db37bebc3eb"),
+    ("escaped", "predict-text-gates"): (0, "669c35f082f1d784b43c1ae286a240ed3bf9103c30eb80d0caec237d903cb50b"),
+    ("escaped", "explain-text-gates"): (0, "f259259c99305cc443efb603e27407f40903c033deb154049459e3aa15abf9a3"),
+    ("escaped", "sample-text-gates"): (0, "8d502da610b3c153d5aedaaf5323c0d49f61401d4791b4b1ffe9e36c6cbe09a0"),
+    ("escaped", "predict-json-gates"): (0, "5a2e779e1f3b6ac47ac7afbe704f08d3a81d8318c2ae8e1ad0e47c1350b87fb5"),
+    ("escaped", "explain-json-gates"): (0, "a1eca4bacd936849940b0f80010978ec008b674f8177bb9d7414274ab7977c12"),
+    ("escaped", "sample-json-gates"): (0, "03dd0e6becece54f7d32a8b349277fba896d19f38da0363885ea7db37bebc3eb"),
+    ("escaped", "gates-text"): (0, "c194e6fafbc826bdd8ca79b93a306ec8aa6cdaf4b37a5107561fb6250fe8dcb6"),
+    ("escaped", "gates-text-trace"): (0, "9486639ed40fe50f6ea4e7270c6ff88213de9e4f291aa0f800c2e41fdc4bc4d7"),
+    ("escaped", "gates-json"): (0, "4103a67534ce45e04b0dc1ebfdeaa450e55192ac4fd5441dd4a03830c7e87384"),
+    ("escaped", "gates-json-trace"): (0, "beeea8a7a756b9fba141b3e2426359ebd47a8471be8d534fa4d7353589e04584"),
 }
 
 
 @pytest.fixture(scope="module")
 def datasets(tmp_path_factory):
     text, given = _generated_text()
-    path = tmp_path_factory.mktemp("golden") / "generated.tsv"
-    path.write_text(text, encoding="utf-8")
+    folder = tmp_path_factory.mktemp("golden")
+    (folder / "generated.tsv").write_text(text, encoding="utf-8")
+    (folder / "escaped.tsv").write_text(ESCAPED_TEXT, encoding="utf-8")
     return {
         "worked": (str(files("analogical").joinpath("data/worked_example.tsv")), "o m a"),
-        "generated": (str(path), given),
+        "generated": (str(folder / "generated.tsv"), given),
+        "escaped": (str(folder / "escaped.tsv"), ESCAPED_GIVEN),
     }
 
 
-@pytest.mark.parametrize("dataset", ["worked", "generated"])
+@pytest.mark.parametrize("dataset", ["worked", "generated", "escaped"])
 @pytest.mark.parametrize("case", CASES)
 def test_cli_stdout_matches_golden_digest(datasets, dataset, case, capsys):
     path, given = datasets[dataset]
