@@ -35,9 +35,9 @@ Bits = tuple[int, ...]
 # plus one transposed copy: 128 MiB at n = 24 with 3 outcomes and m <= 255.
 # Either engine's lattice record keeps 2^n * (1 + w) bytes, 32 MiB at n = 24.
 # Per-mask verdicts (explain, two-step prediction) still walk all 2^n masks
-# in Python.  The gate engine holds C2, H2 and A2 as 3 * m^2 lane words of
-# 2^n bits each, plus about 4n + 5 words of m * 2^n bits for the (mask, j')
-# lanes of its containment scan.  Refuse larger n by default.
+# in Python.  The gate engine holds C2, H2, A2 and its sweep register as
+# 4 * m^2 + 1 rows of 2^n bits each, plus about 4n + 5 words of m * 2^n bits
+# for the (mask, j') lanes of its containment scan.  Refuse larger n by default.
 DEFAULT_N_CAP = 24
 
 WORKED_EXAMPLE_GIVEN: FeatureVector = ("o", "m", "a")

@@ -13,15 +13,33 @@ Each per-mask circuit applies the identical operator sequence from
 beginning to end: the homogeneity scan never exits early, because a
 heterogeneous supracontext must run the same gates as a homogeneous one.
 Since no gate depends on the data, all 2^n per-mask circuits run as one
-bit-sliced circuit.  Every per-mask register bit is a Python int holding
-one bit per mask (a "lane"), and each gate acts on all lanes at once:
-NOT is ``x ^= ALL``, CNOT ``t ^= c`` and Toffoli ``t ^= a & b``, where
-ALL = 2^L - 1 for L lanes.  Registers shared by every mask (D, P2) are
-broadcast to 0 or ALL.  The gate sequence, and so every per-mask gate
-count, is the one a single mask would run.  The run keeps its outputs as
-lane words: pointer counts, flags and member counts (the C2 diagonal) are
+bit-sliced circuit, one mask per "lane", and each gate acts on all lanes
+at once.  The comparators' registers are Python ints holding one bit per
+lane: NOT is ``x ^= ALL``, CNOT ``t ^= c`` and Toffoli ``t ^= a & b``,
+where ALL = 2^L - 1 for L lanes.  C2, H2, A2 and the sweep register F are
+(entry x block) uint8 arrays instead: row k holds entry k's L lanes in a
+block of B = ceil(L / 8) bytes, lane l in bit l % 8 of byte l // 8.  ALL
+as one block has its bits from L up at 0, and every gate XORs into its
+target ALL or its controls' AND, so those padding bits stay 0 everywhere.
+Registers shared by every mask (D, P2) are broadcast to 0 or ALL.  The
+gate sequence, and so every per-mask gate count, is the one a single mask
+would run.  The run keeps its outputs as blocks: pointer counts are
+popcounts of the A2 blocks, flags and member counts (the C2 diagonal) are
 read off them into the lattice record both engines share, and per-mask
 matrices are unpacked only when a caller asks for them.
+
+The loops over the m^2 entries after the containment scan are one numpy
+operation each.  H2 = C2 AND P2 (a Toffoli per entry), both negations of
+H2, and A2 = C2 AND flag (a Toffoli per entry, all controlled by F(m^2))
+each write only their own entry and read nothing that the loop writes, so
+their gates commute and run at once: ``H2 ^= C2 & P2``, ``H2 ^= ALL`` and
+``A2 ^= C2 & F(m^2)``.  The sweep is a chain, step k applying F(k) ^=
+H(k-1) AND F(k-1) for k = 1..m^2.  Forward, F(1..m^2) start at their
+preset 0, so it leaves the prefix AND F(k) = F(0) AND H(0) AND ... AND
+H(k-1), one ``np.bitwise_and.accumulate``.  The inverse runs k from m^2
+down to 1, and step k reads F(k-1), which the loop writes only after
+step k: every step reads F as the inverse found it, so it is one
+``F[1:] ^= H & F[:-1]``.  The restoration check ORs F's blocks.
 
 Two more loops run as lanes the same way.  The m^2 comparators behind V2
 (and W2) each have fresh scratch and write only their own entry, so they
@@ -38,25 +56,31 @@ reads only S and D, returns Y, and with it Z, to the values it found, and
 writes only row j of C2.  So the rows commute, and so do the iterations
 within a row: running them side by side on copies of Y and Z applies to
 every mask the same gates, with the same per-mask gate count and the same
-final registers.  Every scan word is a run of blocks of B = ceil(L / 8)
-bytes, one block per item holding its L mask lanes: a window of rows runs
-its Y tests on (j, mask) words and its inner tests on (j, j', mask) words,
-in which S is copied into every block, D[j] or D[j'] fills its blocks, the
-C2 entries are joined and split back by bytes, and the restoration checks
-are the OR of the blocks.  Since a comparator costs more per byte on wider
-words, a window holds as many rows as keep its (j, j', mask) words within
-16 KB, and at least one.
+final registers.  Every scan word is a run of blocks of B bytes, one block
+per item holding its L mask lanes, as in a row of C2: a window of rows
+runs its Y tests on (j, mask) words and its inner tests on (j, j', mask)
+words, in which S is copied into every block and D[j] or D[j'] fills its
+blocks.  The Toffolis into C2 flip the window's C2 rows at once, block
+(j, j') of Z AND block j of Y into row (j, j'), and the restoration checks
+are the OR of the blocks.  Since a comparator costs more per byte on
+wider words, a window holds as many rows as keep its (j, j', mask) words
+within 16 KB, and at least one.
 
 Each of these loops (pairs, P2 entries, masks, rows of the scan, and j'
 within them) has one body, which runs a window of items side by side; an
 untraced run makes one window per loop, except for the scan's rows.  With a
 :class:`GateTrace` attached the items run in windows of one item of the
-same code, on plain 0/1 bits.  A window's registers take the names of its
-first item's, and a word cut from a register records that register's
-indices (``_Lanes.offset``), so every recorded step is the one the serial
-circuit applies.  Once the trace is truncated the items left run in
-windows as an untraced run would, and ``trace.tally`` counts each of their
-lane gates once per item.  Results do not depend on the lane width.
+same code, on plain 0/1 bits: a mask window's blocks are one byte holding
+one lane.  The array loops then record, from their target's blocks before
+and after, one gate per entry in the serial loop's order.  A window's
+registers take the names of its first item's, and a word cut from a
+register records that register's indices (``_Lanes.offset``), so every
+recorded step is the one the serial circuit applies.  Once the trace is
+truncated the items left run in windows as an untraced run would, and
+``trace.tally`` counts each of their gates once per item, an array loop's
+m^2 gates in one step.  A traced run's mask windows need not start at a
+byte, so their outputs are joined lane by lane.  Results do not depend on
+the lane width.
 
 Matrix registers are kept flat in row-major order: entry (j, j') of an
 m x m array lives at position k = (j - 1) * m + j', with j, j' and k
@@ -83,7 +107,6 @@ from .core import (
     bits_to_str,
     check_lattice_size,
     encode,
-    int_to_bits,
     iter_masks,
 )
 from .homogeneity import AnalogicalSet, _LatticeVerdicts
@@ -174,7 +197,7 @@ class GateTrace:
         self.initial: dict[str, Bits] = {}
         self.tally: Counter[str] = Counter()
 
-    def track(self, reg: _Lanes) -> None:
+    def track(self, reg: _Lanes | _Blocks) -> None:
         if reg.name not in self.initial:
             self.initial[reg.name] = reg.bits
 
@@ -389,26 +412,38 @@ def gate_inclusion_inverse(mask, d, ancilla: int, flag: int, trace: GateTrace | 
 # --- circuit steps ------------------------------------------------------------
 #
 # One register-level implementation per step.  The full pipeline runs each
-# step on lane words, one lane per mask; the public builders below run the
-# same step on a single lane.
-
-def _unpack_lanes(words: Sequence[int], lanes: int) -> np.ndarray:
-    """Unpack lane words into a (lanes, len(words)) uint8 array: entry (l, i) is bit l of word i."""
-    width = (lanes + 7) // 8
-    packed = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words), dtype=np.uint8)
-    bits = np.unpackbits(packed.reshape(len(words), width), axis=1, count=lanes, bitorder="little")
-    return np.ascontiguousarray(bits.T)
-
+# step on every mask at once; the public builders below run the same step on
+# a single lane.
 
 def _pack_lanes(bits) -> list[int]:
-    """Pack a (lanes, k) 0/1 array into k lane words; the inverse of :func:`_unpack_lanes`."""
+    """Pack a (lanes, k) 0/1 array into k lane words, bit l of word i holding entry (l, i)."""
     packed = np.packbits(np.asarray(bits, dtype=np.uint8).T, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _lane_matrices(words: Sequence[int], lanes: int, m: int) -> np.ndarray:
-    """Unpack a flat m*m register of lane words into a (lanes, m, m) uint8 array."""
-    return _unpack_lanes(words, lanes).reshape(lanes, m, m)
+def _unpack_blocks(rows: np.ndarray, lanes: int) -> np.ndarray:
+    """Unpack (entries, B) blocks into an (entries, lanes) 0/1 array: entry (k, l) is lane l of block k."""
+    return np.unpackbits(rows, axis=-1, count=lanes, bitorder="little")
+
+
+def _bit_rows(values: np.ndarray, width: int) -> list[list[int]]:
+    """Each value's ``width`` bits, most significant first, as :func:`int_to_bits` gives them."""
+    return ((values[:, None] >> np.arange(width - 1, -1, -1)) & 1).tolist()
+
+
+def _tile(word: int, size: int, count: int) -> int:
+    """``count`` copies of ``word``, each a block of ``size`` bytes."""
+    return int.from_bytes(word.to_bytes(size, "little") * count, "little")
+
+
+def _split(word: int, size: int, count: int) -> np.ndarray:
+    """The ``count`` blocks of ``size`` bytes of ``word`` as a (count, size) uint8 array."""
+    return np.frombuffer(word.to_bytes(size * count, "little"), np.uint8).reshape(count, size)
+
+
+def _word(blocks: np.ndarray) -> int:
+    """The word whose bytes, lowest first, are those of ``blocks``; undoes :func:`_split`."""
+    return int.from_bytes(blocks.tobytes(), "little")
 
 
 class _LaneTally:
@@ -424,7 +459,7 @@ class _LaneTally:
         self.tally = trace.tally
         self.per_gate = items * (trace.per_gate if isinstance(trace, _LaneTally) else 1)
 
-    def track(self, reg: _Lanes) -> None:
+    def track(self, reg) -> None:
         pass
 
     def record(self, op: str, operands, before: int, after: int) -> None:
@@ -458,17 +493,72 @@ def _entry_lanes(reg: _Lanes, start: int, stop: int) -> _Lanes:
 
 def _store_entries(reg: _Lanes, word: _Lanes, stop: int) -> None:
     """Write the lanes of ``word`` back into entries offset..stop-1 of ``reg``; undoes :func:`_entry_lanes`."""
-    reg._bits[word.offset:stop] = _unpack_lanes(word, stop - word.offset)[:, 0].tolist()
+    count = stop - word.offset
+    reg._bits[word.offset:stop] = _unpack_blocks(_split(word[0], (count + 7) // 8, 1), count)[0].tolist()
 
 
-def _matrix_register(name: str, matrix, trace: GateTrace | None) -> tuple[BitRegister, int]:
+class _Blocks:
+    """A named register of entries, each a block of B bytes holding the entry's L mask lanes.
+
+    ``rows`` is an (entries, B) uint8 array: lane l of entry k is bit l % 8 of
+    byte l // 8 of row k, and the bits from L up stay 0.
+    """
+
+    __slots__ = ("name", "rows")
+
+    def __init__(self, name: str, rows: np.ndarray):
+        self.name = name
+        self.rows = rows
+
+    @property
+    def bits(self) -> Bits:
+        """The entries as lane words; with one lane, as plain bits."""
+        return tuple(_block_words(self.rows))
+
+
+def _block_words(blocks: np.ndarray) -> list[int]:
+    """The lane word of every block of ``blocks``, whose last axis is the block."""
+    return [_word(b) for b in blocks.reshape(-1, blocks.shape[-1])]
+
+
+def _xor_gates(op: str, operands, rows: np.ndarray, flip: np.ndarray, entries: Sequence[int], trace) -> None:
+    """``rows ^= flip``: one ``op`` gate per entry of ``entries``, each acting on every lane at once.
+
+    The blocks of ``rows`` are the entries of a mask window, or the items of a
+    containment-scan window, whose ``entries`` is then its first entry.  A
+    trace records the gates in order, ``operands(k)`` naming entry k's
+    controls and target, with the target block's lane word before and after;
+    a :class:`_LaneTally` adds them for every item in one step.
+    """
+    if trace is None or isinstance(trace, _LaneTally):
+        rows ^= flip
+        if trace is not None:
+            trace.tally[op] += len(entries) * trace.per_gate
+        return
+    before = _block_words(rows)
+    rows ^= flip
+    for k, b, a in zip(entries, before, _block_words(rows)):
+        trace.record(op, operands(k), b, a)
+
+
+def _matrix_register(name: str, matrix, trace: GateTrace | None) -> tuple[_Blocks, int]:
+    """A square 0/1 matrix as a one-lane block register, entries in row-major order."""
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square bit matrix, got shape {arr.shape}")
-    reg = BitRegister(name, [int(b) for b in arr.reshape(-1)])
+    reg = _Blocks(name, _bit_column(name, arr))
     if trace is not None:
         trace.track(reg)
     return reg, arr.shape[0]
+
+
+def _bit_column(name: str, arr: np.ndarray) -> np.ndarray:
+    """``arr``'s entries in row-major order as an (entries, 1) uint8 array; raises unless each is 0 or 1."""
+    flat = arr.reshape(-1)
+    stray = flat[(flat != 0) & (flat != 1)]
+    if stray.size:
+        raise ValueError(f"register {name!r}: bit value {stray[0].item()!r} is not 0 or 1")
+    return flat.astype(np.uint8).reshape(-1, 1)
 
 
 # Bytes of the widest word of one window of containment-scan rows.  Per byte,
@@ -477,27 +567,12 @@ def _matrix_register(name: str, matrix, trace: GateTrace | None) -> tuple[BitReg
 _SCAN_WORD_BYTES = 16_384
 
 
-def _tile(word: int, size: int, count: int) -> int:
-    """``count`` copies of ``word``, each a block of ``size`` bytes."""
-    return int.from_bytes(word.to_bytes(size, "little") * count, "little")
-
-
-def _split(word: int, size: int, count: int) -> np.ndarray:
-    """The ``count`` blocks of ``size`` bytes of ``word`` as a (count, size) uint8 array."""
-    return np.frombuffer(word.to_bytes(size * count, "little"), np.uint8).reshape(count, size)
-
-
-def _word(blocks: np.ndarray) -> int:
-    """The word whose bytes, lowest first, are those of ``blocks``; undoes :func:`_split`."""
-    return int.from_bytes(blocks.tobytes(), "little")
-
-
 def _containment_scan(
     s_reg: _Lanes,
     d_regs: Sequence[_Lanes],
     y_reg: _Lanes,
     z_reg: _Lanes,
-    c2_reg: _Lanes,
+    c2: _Blocks,
     ones: int,
     trace: GateTrace | None,
 ) -> int:
@@ -509,14 +584,16 @@ def _containment_scan(
     tests over a window of j' as (j, j', mask) lanes (see the module
     docstring for why that applies the same gates).  Each word is a run of
     blocks of ``size`` bytes, one block per (j) or (j, j') item, holding
-    its mask lanes.  Returns the word of lanes in which an ancilla or
-    either flag register did not come back to its preset (0 when every
-    lane is restored).
+    its mask lanes, so a window's Toffolis into C2 flip the C2 rows of its
+    items.  Returns the word of lanes in which an ancilla or either flag
+    register did not come back to its preset (0 when every lane is
+    restored).
     """
     m = len(d_regs)
     size = (ones.bit_length() + 7) // 8  # bytes per block of mask lanes
     # d_blocks[i, b]: the block of exemplar b's difference bit i, ALL or 0
     d_blocks = np.multiply.outer(np.array([d.bits for d in d_regs], np.uint8).T, _split(ones, size, 1)[0])
+    c2_grid = c2.rows.reshape(m, m, size)
     bad = 0
 
     def fold(word: int, count: int) -> int:
@@ -541,18 +618,14 @@ def _containment_scan(
             nonlocal bad
             s_t, d_t, all_t = tiled(rows, start, stop)
             count = rows * (stop - start)
-            entries = [k for j in range(first, last) for k in range(j * m + start, j * m + stop)]
-            y_row = _Lanes(y_reg.name, [_word(np.repeat(_split(y_t[0], size, rows), stop - start, axis=0))])
             z_t = _Lanes(z_reg.name, [_tile(z_reg[0], size, count)])
-            c_word = b"".join(c2_reg[k].to_bytes(size, "little") for k in entries)
-            c_t = _Lanes(c2_reg.name, [int.from_bytes(c_word, "little")], entries[0])
             bad_t = all_t ^ _comparator_apply("and", s_t, d_t, all_t, z_t, 0, all_t, trace)
-            _ccnot(y_row, 0, z_t, 0, c_t, 0, trace)
+            # C2(j, j') ^= Y(j) AND Z(j, j'): block (j, j') of Z against block j of Y
+            flip = _split(z_t[0], size, count).reshape(rows, stop - start, size) & _split(y_t[0], size, rows)[:, None]
+            operands = lambda k: ((y_reg.name, 0), (z_reg.name, 0), (c2.name, k))
+            _xor_gates("ccnot", operands, c2_grid[first:last, start:stop], flip, (first * m + start,), trace)
             bad_t |= all_t ^ _comparator_apply("and", s_t, d_t, all_t, z_t, 0, all_t, trace)
             bad |= fold(bad_t | z_t[0], count)
-            data = c_t[0].to_bytes(size * count, "little")
-            for b, k in enumerate(entries):
-                c2_reg._bits[k] = int.from_bytes(data[b * size:(b + 1) * size], "little")
 
         _run_items(m, run, trace)
         bad_y |= all_y ^ _comparator_apply("and", s_y, d_y, all_y, y_t, 0, all_y, trace)
@@ -595,24 +668,38 @@ def _and_entries(a_reg: _Lanes, b_reg: _Lanes, out_reg: _Lanes, trace: GateTrace
     _run_items(len(out_reg), run, trace)
 
 
-def _and_array(a_reg: _Lanes, b_reg: _Lanes, out_reg: _Lanes, trace: GateTrace | None) -> None:
-    """out ^= a AND b entrywise, one Toffoli per entry (H2 from C2/P2)."""
-    for k in range(len(out_reg)):
-        _ccnot(a_reg, k, b_reg, k, out_reg, k, trace)
+def _heterogeneity(c2: _Blocks, p2: _Blocks, h2: _Blocks, trace: GateTrace | None) -> None:
+    """H2 ^= C2 AND P2, one Toffoli per entry."""
+    operands = lambda k: ((c2.name, k), (p2.name, k), (h2.name, k))
+    _xor_gates("ccnot", operands, h2.rows, c2.rows & p2.rows, range(len(h2.rows)), trace)
 
 
-def _ones_scan(h_reg: _Lanes, f_reg: _Lanes, trace: GateTrace | None, inverse: bool = False) -> None:
-    # f_reg[0] is the trigger; positions 1..m^2 mirror h_reg positions 0..m^2-1
-    m2 = len(h_reg)
-    ks = range(m2, 0, -1) if inverse else range(1, m2 + 1)
-    for k in ks:
-        _ccnot(h_reg, k - 1, f_reg, k - 1, f_reg, k, trace)
+def _negate(reg: _Blocks, all_lanes: np.ndarray, trace: GateTrace | None) -> None:
+    """NOT on every entry; ``all_lanes`` is ALL as one block."""
+    _xor_gates("not", lambda k: ((reg.name, k),), reg.rows, all_lanes, range(len(reg.rows)), trace)
 
 
-def _analogy(c2_reg: _Lanes, flag_reg: _Lanes, flag_idx: int, a2_reg: _Lanes,
-             trace: GateTrace | None) -> None:
-    for k in range(len(a2_reg)):
-        _ccnot(c2_reg, k, flag_reg, flag_idx, a2_reg, k, trace)
+def _sweep(h: _Blocks, f: _Blocks, trace: GateTrace | None, inverse: bool = False) -> None:
+    """F(k) ^= H(k-1) AND F(k-1) for k = 1..m^2 (``inverse``: k = m^2 down to 1), one Toffoli each.
+
+    Forward, F(1..m^2) must start at 0, and the chain leaves the prefix AND of
+    F(0) and H; in reverse every step reads F as the sweep found it (see the
+    module docstring).
+    """
+    operands = lambda k: ((h.name, k - 1), (f.name, k - 1), (f.name, k))
+    if inverse:
+        # rows m^2 down to 1, reversed views so that the trace records them in loop order
+        flip = (h.rows & f.rows[:-1])[::-1]
+        _xor_gates("ccnot", operands, f.rows[:0:-1], flip, range(len(h.rows), 0, -1), trace)
+    else:
+        flip = np.bitwise_and.accumulate(h.rows, axis=0) & f.rows[0]
+        _xor_gates("ccnot", operands, f.rows[1:], flip, range(1, len(f.rows)), trace)
+
+
+def _analogy(c2: _Blocks, flag: _Blocks, flag_idx: int, a2: _Blocks, trace: GateTrace | None) -> None:
+    """A2 ^= C2 AND flag, one Toffoli per entry, all controlled by entry ``flag_idx`` of ``flag``."""
+    operands = lambda k: ((c2.name, k), (flag.name, flag_idx), (a2.name, k))
+    _xor_gates("ccnot", operands, a2.rows, c2.rows & flag.rows[flag_idx], range(len(a2.rows)), trace)
 
 
 def build_containment_array(
@@ -623,17 +710,15 @@ def build_containment_array(
     uid = next(_fresh)
     pfx = f"cont{uid}."
     s_reg = BitRegister(pfx + "S", mask)
-    d_regs = [
-        BitRegister(f"{pfx}D[{j}]", int_to_bits(d, ds.n)) for j, d in enumerate(d_ints.tolist(), 1)
-    ]
+    d_regs = [BitRegister(f"{pfx}D[{j}]", bits) for j, bits in enumerate(_bit_rows(d_ints, ds.n), 1)]
     y_reg = BitRegister.zeros(pfx + "Y", 1)
     z_reg = BitRegister.zeros(pfx + "Z", 1)
-    c2_reg = BitRegister.zeros(pfx + "C2", ds.m * ds.m)
+    c2 = _Blocks(pfx + "C2", np.zeros((ds.m * ds.m, 1), np.uint8))
     if trace is not None:
-        for reg in (s_reg, *d_regs, y_reg, z_reg, c2_reg):
+        for reg in (s_reg, *d_regs, y_reg, z_reg, c2):
             trace.track(reg)
-    _containment_scan(s_reg, d_regs, y_reg, z_reg, c2_reg, 1, trace)
-    return _lane_matrices(c2_reg, 1, ds.m)[0]
+    _containment_scan(s_reg, d_regs, y_reg, z_reg, c2, 1, trace)
+    return c2.rows.reshape(ds.m, ds.m)
 
 
 def build_heterogeneity_array(c2, p2, trace: GateTrace | None = None) -> np.ndarray:
@@ -643,11 +728,19 @@ def build_heterogeneity_array(c2, p2, trace: GateTrace | None = None) -> np.ndar
     p2_reg, m2 = _matrix_register(f"het{uid}.P2", p2, trace)
     if m != m2:
         raise ValueError(f"dimension mismatch: {m}x{m} vs {m2}x{m2}")
-    h2_reg = BitRegister.zeros(f"het{uid}.H2", m * m)
+    h2 = _Blocks(f"het{uid}.H2", np.zeros((m * m, 1), np.uint8))
     if trace is not None:
-        trace.track(h2_reg)
-    _and_array(c2_reg, p2_reg, h2_reg, trace)
-    return _lane_matrices(h2_reg, 1, m)[0]
+        trace.track(h2)
+    _heterogeneity(c2_reg, p2_reg, h2, trace)
+    return h2.rows.reshape(m, m)
+
+
+def _sweep_register(name: str, trigger: int, f: np.ndarray, trace: GateTrace | None) -> _Blocks:
+    """F as a one-lane block register: the trigger, then the m^2 entries of ``f``."""
+    reg = _Blocks(name, np.vstack((np.array([[_check_bit(trigger, "trigger")]], np.uint8), _bit_column(name, f))))
+    if trace is not None:
+        trace.track(reg)
+    return reg
 
 
 def gate_ones(h_negated, trigger: int = 1, trace: GateTrace | None = None) -> tuple[int, np.ndarray]:
@@ -660,38 +753,37 @@ def gate_ones(h_negated, trigger: int = 1, trace: GateTrace | None = None) -> tu
     """
     uid = next(_fresh)
     h_reg, m = _matrix_register(f"ones{uid}.H", h_negated, trace)
-    f_reg = BitRegister(f"ones{uid}.F", [_check_bit(trigger, "trigger")] + [0] * (m * m))
-    if trace is not None:
-        trace.track(f_reg)
-    _ones_scan(h_reg, f_reg, trace)
-    return f_reg[m * m], _lane_matrices(f_reg[1:], 1, m)[0]
+    f = _sweep_register(f"ones{uid}.F", trigger, np.zeros((m, m), np.uint8), trace)
+    _sweep(h_reg, f, trace)
+    return int(f.rows[m * m, 0]), f.rows[1:].reshape(m, m)
 
 
 def gate_ones_inverse(h_negated, f, trigger: int = 1, trace: GateTrace | None = None) -> tuple[int, np.ndarray]:
-    """Undo :func:`gate_ones` given the same negated H2 and the F state it left."""
+    """Undo :func:`gate_ones` given the same negated H2 and the F state it left.
+
+    Raises ``ValueError`` unless ``f`` has the shape of ``h_negated``.
+    """
     uid = next(_fresh)
     h_reg, m = _matrix_register(f"ones{uid}.H", h_negated, trace)
-    f_arr = np.asarray(f).reshape(-1)
-    f_reg = BitRegister(
-        f"ones{uid}.F", [_check_bit(trigger, "trigger")] + [int(b) for b in f_arr]
-    )
-    if trace is not None:
-        trace.track(f_reg)
-    _ones_scan(h_reg, f_reg, trace, inverse=True)
-    return f_reg[0], _lane_matrices(f_reg[1:], 1, m)[0]
+    f_arr = np.asarray(f)
+    if f_arr.shape != (m, m):
+        raise ValueError(f"dimension mismatch: H is {m}x{m}, F has shape {f_arr.shape}")
+    f_reg = _sweep_register(f"ones{uid}.F", trigger, f_arr, trace)
+    _sweep(h_reg, f_reg, trace, inverse=True)
+    return int(f_reg.rows[0, 0]), f_reg.rows[1:].reshape(m, m)
 
 
 def build_analogy_array(c2, homog_flag, trace: GateTrace | None = None) -> np.ndarray:
     """A2 = C2 when the homogeneity flag is set, all zeros otherwise."""
     uid = next(_fresh)
     c2_reg, m = _matrix_register(f"ana{uid}.C2", c2, trace)
-    flag_reg = BitRegister(f"ana{uid}.flag", [_check_bit(int(homog_flag), "flag")])
-    a2_reg = BitRegister.zeros(f"ana{uid}.A2", m * m)
+    flag = _Blocks(f"ana{uid}.flag", np.array([[_check_bit(int(homog_flag), "flag")]], np.uint8))
+    a2 = _Blocks(f"ana{uid}.A2", np.zeros((m * m, 1), np.uint8))
     if trace is not None:
-        trace.track(flag_reg)
-        trace.track(a2_reg)
-    _analogy(c2_reg, flag_reg, 0, a2_reg, trace)
-    return _lane_matrices(a2_reg, 1, m)[0]
+        trace.track(flag)
+        trace.track(a2)
+    _analogy(c2_reg, flag, 0, a2, trace)
+    return a2.rows.reshape(m, m)
 
 
 # --- the full pipeline ------------------------------------------------------
@@ -710,11 +802,13 @@ class SupracontextCircuitResult:
 
 @dataclass(frozen=True, eq=False)
 class CircuitRun:
-    """Shared pair arrays plus every mask's circuit outputs as lane words.
+    """Shared pair arrays plus every mask's circuit outputs as blocks of lanes.
 
-    Lane l of each word belongs to ``masks[l]``; C2, H2 and A2 hold one
-    word per flat m x m entry.  :attr:`results` unpacks them on first read.
-    A run is equal only to itself, as its numpy fields have no truth value.
+    Lane l belongs to ``masks[l]``.  C2, H2 and A2 are (m * m, B) uint8
+    arrays, row k holding flat entry k's lanes in B = ceil(L / 8) bytes (see
+    :class:`_Blocks`); the flag and not-restored blocks are one such row
+    each.  :attr:`results` unpacks them on first read.  A run is equal only
+    to itself, as its numpy fields have no truth value.
     """
 
     d: np.ndarray  # :func:`encode`'s difference vectors, as loaded into D
@@ -722,67 +816,80 @@ class CircuitRun:
     w2: np.ndarray
     p2: np.ndarray
     masks: tuple[Bits, ...]
-    c2_words: tuple[int, ...]
-    h2_words: tuple[int, ...]
-    a2_words: tuple[int, ...]
-    flag_word: int  # lane l set: mask l is homogeneous
-    not_restored_word: int  # lane l set: an ancilla or flag of mask l missed its preset
+    c2_blocks: np.ndarray
+    h2_blocks: np.ndarray
+    a2_blocks: np.ndarray
+    flag_block: np.ndarray  # lane l set: mask l is homogeneous
+    not_restored_block: np.ndarray  # lane l set: an ancilla or flag of mask l missed its preset
 
     @cached_property
     def results(self) -> tuple[SupracontextCircuitResult, ...]:
         lanes, m = len(self.masks), len(self.p2)
-        c2s, h2s, a2s = (_lane_matrices(w, lanes, m) for w in (self.c2_words, self.h2_words, self.a2_words))
+        c2s, h2s, a2s = (
+            _unpack_blocks(b, lanes).T.reshape(lanes, m, m) for b in (self.c2_blocks, self.h2_blocks, self.a2_blocks)
+        )
+        flags = _unpack_blocks(self.flag_block, lanes).tolist()
+        bad = _unpack_blocks(self.not_restored_block, lanes).tolist()
         return tuple([
-            SupracontextCircuitResult(
-                mask, c2s[lane], h2s[lane], bool(self.flag_word >> lane & 1), a2s[lane],
-                not self.not_restored_word >> lane & 1,
-            )
+            SupracontextCircuitResult(mask, c2s[lane], h2s[lane], bool(flags[lane]), a2s[lane], not bad[lane])
             for lane, mask in enumerate(self.masks)
         ])
 
 
 def _supracontext_circuits(
-    masks: Sequence[Bits],
+    pfx: str,
+    s_words: Sequence[int],
+    ones: int,
     d_regs: Sequence[_Lanes],
     p2_reg: _Lanes,
     trace: GateTrace | None,
-) -> list[int]:
-    """Run the per-mask circuit once, lane l carrying ``masks[l]``.
+) -> np.ndarray:
+    """Run the per-mask circuit once over the lanes of ``ones``, S holding ``s_words``.
 
     Per lane: C2 through nested containment tests, H2 = C2 AND P2, negate
     H2, sweep for the homogeneity flag, conditionally copy C2 into A2,
     then reverse the sweep and the negation so every scratch register
-    ends at its preset.  Returns the lane words of C2, H2 and A2, then the
-    flag word and the not-restored word, as one flat list.
+    ends at its preset.  Registers are named ``pfx`` + their name.  Returns
+    one (3 * m * m + 2, B) array: the blocks of C2, H2 and A2, then the
+    flag block and the not-restored block.
     """
-    lanes = len(masks)
-    ones = (1 << lanes) - 1
     m2 = len(p2_reg)
-    pfx = f"m{bits_to_str(masks[0])}."  # a window's registers are named after its first mask
-    s_reg = _Lanes(pfx + "S", _pack_lanes(masks))
-    p2_lanes = _Lanes(p2_reg.name, [b * ones for b in p2_reg])
+    size = (ones.bit_length() + 7) // 8
+    all_lanes = _split(ones, size, 1)[0]
+    out = np.zeros((3 * m2 + 2, size), np.uint8)
+    c2, h2, a2 = (_Blocks(pfx + name, out[i * m2:(i + 1) * m2]) for i, name in enumerate(("C2", "H2", "A2")))
+    f = _Blocks(pfx + "F", np.zeros((m2 + 1, size), np.uint8))
+    f.rows[0] = all_lanes
+    s_reg = _Lanes(pfx + "S", s_words)
     y_reg = _Lanes(pfx + "Y", [0])
     z_reg = _Lanes(pfx + "Z", [0])
-    c2_reg = _Lanes(pfx + "C2", [0] * m2)
-    h2_reg = _Lanes(pfx + "H2", [0] * m2)
-    f_reg = _Lanes(pfx + "F", [ones] + [0] * m2)
-    a2_reg = _Lanes(pfx + "A2", [0] * m2)
     if trace is not None:
-        for reg in (s_reg, y_reg, z_reg, c2_reg, h2_reg, f_reg, a2_reg):
+        for reg in (s_reg, y_reg, z_reg, c2, h2, f, a2):
             trace.track(reg)
 
-    bad = _containment_scan(s_reg, d_regs, y_reg, z_reg, c2_reg, ones, trace)
-    _and_array(c2_reg, p2_lanes, h2_reg, trace)
-    _not_all(h2_reg, ones, trace)
-    _ones_scan(h2_reg, f_reg, trace)
-    homogeneous = f_reg[m2]
-    _analogy(c2_reg, f_reg, m2, a2_reg, trace)
-    _ones_scan(h2_reg, f_reg, trace, inverse=True)
-    _not_all(h2_reg, ones, trace)
-    bad |= f_reg[0] ^ ones
-    for word in f_reg[1:]:
-        bad |= word
-    return [*c2_reg, *h2_reg, *a2_reg, homogeneous, bad]
+    bad = _containment_scan(s_reg, d_regs, y_reg, z_reg, c2, ones, trace)
+    p2 = _Blocks(p2_reg.name, np.multiply.outer(np.array(p2_reg.bits, np.uint8), all_lanes))
+    _heterogeneity(c2, p2, h2, trace)
+    _negate(h2, all_lanes, trace)
+    _sweep(h2, f, trace)
+    out[-2] = f.rows[m2]
+    _analogy(c2, f, m2, a2, trace)
+    _sweep(h2, f, trace, inverse=True)
+    _negate(h2, all_lanes, trace)
+    out[-1] = _split(bad, size, 1)[0] | (f.rows[0] ^ all_lanes) | np.bitwise_or.reduce(f.rows[1:])
+    return out
+
+
+@cache
+def _lattice_lanes(n: int) -> tuple[tuple[Bits, ...], tuple[int, ...], np.ndarray]:
+    """Masks in :func:`iter_masks` order, one lane each; S over all of them; the lane of each mask int.
+
+    Shared by every run over n features, so the array is read-only.
+    """
+    masks = tuple(iter_masks(n))
+    lane_of = np.argsort(np.array(masks) @ (1 << np.arange(n - 1, -1, -1)))
+    lane_of.flags.writeable = False
+    return masks, tuple(_pack_lanes(masks)), lane_of
 
 
 def run_qam_circuit(
@@ -808,8 +915,8 @@ def run_qam_circuit(
     width = max(1, int(outcomes.max()).bit_length())
 
     # the engine's own registers hold bits by construction, so they skip BitRegister's check
-    d_regs = [_Lanes(f"D[{j}]", int_to_bits(d, ds.n)) for j, d in enumerate(d_ints.tolist(), 1)]
-    o_regs = [_Lanes(f"O[{j}]", int_to_bits(o, width)) for j, o in enumerate(outcomes.tolist(), 1)]
+    d_regs = [_Lanes(f"D[{j}]", bits) for j, bits in enumerate(_bit_rows(d_ints, ds.n), 1)]
+    o_regs = [_Lanes(f"O[{j}]", bits) for j, bits in enumerate(_bit_rows(outcomes, width), 1)]
     v2_reg = _Lanes("V2", [1] * (m * m))
     w2_reg = _Lanes("W2", [1] * (m * m))
     p2_reg = _Lanes("P2", [0] * (m * m))
@@ -821,34 +928,30 @@ def run_qam_circuit(
     _pair_array(o_regs, w2_reg, trace)
     _and_entries(v2_reg, w2_reg, p2_reg, trace)
 
-    masks = list(iter_masks(ds.n))
-    words = [0] * (3 * m * m + 2)
+    masks, s_words, _ = _lattice_lanes(ds.n)
+    parts = []
 
     def run_masks(start: int, stop: int, trace: GateTrace | None) -> None:
-        # each part's lane 0 is OR-ed in at the lane of its first mask
-        part = _supracontext_circuits(masks[start:stop], d_regs, p2_reg, trace)
-        words[:] = [w | p << start for w, p in zip(words, part)]
+        ones = (1 << (stop - start)) - 1
+        s_window = [(w >> start) & ones for w in s_words]
+        pfx = f"m{bits_to_str(masks[start])}."  # a window's registers are named after its first mask
+        parts.append((stop - start, _supracontext_circuits(pfx, s_window, ones, d_regs, p2_reg, trace)))
 
     _run_items(len(masks), run_masks, trace)
+    blocks = parts[0][1]
+    if len(parts) > 1:  # a traced run's windows start at lanes that need not begin a byte
+        blocks = np.packbits(np.hstack([_unpack_blocks(p, lanes) for lanes, p in parts]), axis=1, bitorder="little")
     v2, w2, p2 = (np.array(reg._bits, np.uint8).reshape(m, m) for reg in (v2_reg, w2_reg, p2_reg))
-    c2, h2, a2 = (tuple(words[i * m * m:(i + 1) * m * m]) for i in range(3))
-    return CircuitRun(d_ints, v2, w2, p2, tuple(masks), c2, h2, a2, *words[-2:])
-
-
-@cache
-def _lane_of(n: int) -> np.ndarray:
-    """The lane of each mask int in a run over :func:`iter_masks` order; read-only, as it is shared."""
-    lane_of = np.argsort(np.array(list(iter_masks(n))) @ (1 << np.arange(n - 1, -1, -1)))
-    lane_of.flags.writeable = False
-    return lane_of
+    m2 = m * m
+    return CircuitRun(d_ints, v2, w2, p2, masks, blocks[:m2], blocks[m2:2 * m2], blocks[2 * m2:3 * m2], *blocks[-2:])
 
 
 def to_analogical_set(run: CircuitRun, ds: Dataset) -> AnalogicalSet:
-    """Read the circuit's lane words back into the pointer-counting vocabulary.
+    """Read the circuit's blocks back into the pointer-counting vocabulary.
 
-    Outcome o's pointer count is the number of set lanes in the A2 words of
-    the columns j' with outcome o.  The lattice record takes the flag word
-    and the lane popcounts of the C2 diagonal words (each mask's k) in mask
+    Outcome o's pointer count is the number of set lanes in the A2 blocks of
+    the columns j' with outcome o.  The lattice record takes the flag block
+    and the lane counts of the C2 diagonal blocks (each mask's k) in mask
     order.  Raises ``ValueError`` when ``run`` was not made from a dataset
     of the same shape.
     """
@@ -857,13 +960,14 @@ def to_analogical_set(run: CircuitRun, ds: Dataset) -> AnalogicalSet:
         raise ValueError(
             f"circuit run is for {m} exemplars and {n} features, dataset has {ds.m} and {ds.n}"
         )
-    columns = np.array([w.bit_count() for w in run.a2_words], np.int64).reshape(m, m).sum(axis=0)
-    # float64 sums are exact here: a total past 2^53 needs more lane words than memory holds
+    # every bit from lane L up is 0, so a block's popcount is its count of set lanes
+    columns = np.bitwise_count(run.a2_blocks).sum(axis=1, dtype=np.int64).reshape(m, m).sum(axis=0)
+    # float64 sums are exact here: a total past 2^53 needs more blocks than memory holds
     per_outcome = np.bincount(ds._codes.outcomes, columns, len(ds.outcome_order))
     counts = dict(zip(ds.outcome_order, per_outcome.astype(np.int64).tolist()))
-    lane_of = _lane_of(n)
-    homogeneous = _unpack_lanes([run.flag_word], len(lane_of))[lane_of, 0] == 1
-    k = _unpack_lanes(run.c2_words[:: m + 1], len(lane_of)).sum(axis=1, dtype=np.min_scalar_type(m))
+    _, _, lane_of = _lattice_lanes(n)
+    homogeneous = _unpack_blocks(run.flag_block, len(lane_of))[lane_of] == 1
+    k = _unpack_blocks(run.c2_blocks[:: m + 1], len(lane_of)).sum(axis=0, dtype=np.min_scalar_type(m))
     return AnalogicalSet(
         verdicts=_LatticeVerdicts(ds, run.d, homogeneous, k[lane_of]),
         outcome_counts=counts,

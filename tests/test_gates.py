@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -32,7 +33,7 @@ from analogical import (
     to_analogical_set,
 )
 from analogical import gates
-from analogical.gates import _containment_scan, _Lanes
+from analogical.gates import _Blocks, _containment_scan, _Lanes
 from helpers import (
     EXPECTED_A2_ONES,
     EXPECTED_COUNTS,
@@ -144,6 +145,13 @@ def test_gate_ones_inverse_restores():
     assert trigger == 1
     assert back.sum() == 0
     assert flag == 0
+
+
+def test_gate_ones_inverse_rejects_f_of_another_shape():
+    h = np.ones((2, 2), dtype=np.uint8)
+    for f in (np.zeros((1, 1)), np.zeros((3, 3)), np.zeros(4), np.zeros((2, 3))):
+        with pytest.raises(ValueError, match=rf"dimension mismatch: H is 2x2, F has shape {re.escape(str(f.shape))}"):
+            gate_ones_inverse(h, f)
 
 
 # --- array builders on the bundled dataset ---------------------------------------
@@ -424,21 +432,23 @@ def test_readout_rejects_a_dataset_of_another_shape(worked):
 
 def test_readback_unpacks_only_the_pair_arrays(worked, monkeypatch):
     ds, given = worked
-    calls = []
-    unpack = gates._lane_matrices
-    monkeypatch.setattr(gates, "_lane_matrices", lambda *args: calls.append(args) or unpack(*args))
     run = run_qam_circuit(ds, given)
+    unpacked = []
+    unpack = gates._unpack_blocks
+    monkeypatch.setattr(gates, "_unpack_blocks", lambda rows, lanes: unpacked.append(len(rows)) or unpack(rows, lanes))
     aset = to_analogical_set(run, ds)
     predict_distribution(aset)
     assert aset.outcome_counts == EXPECTED_COUNTS
     assert [v.members for v in aset.verdicts] == [
         EXPECTED_MEMBERS[bits_to_str(v.mask)] for v in aset.verdicts
     ]
-    # V2, W2 and P2 are read off their registers; C2, H2 and A2 stay lane words
-    assert len(calls) == 0
-    # the first read unpacks C2, H2 and A2; a second read reuses them
+    # counts are popcounts of the A2 blocks, and verdicts unpack only the flag
+    # block and the m diagonal blocks of C2: no register is unpacked whole
+    assert unpacked and max(unpacked) == ds.m
+    unpacked.clear()
+    # the first read unpacks C2, H2 and A2 once each; a second read reuses them
     assert run.results is run.results
-    assert len(run.results) == 8 and len(calls) == 3
+    assert len(run.results) == 8 and unpacked.count(ds.m * ds.m) == 3
 
 
 def test_runs_and_results_compare_by_identity(worked):
@@ -511,6 +521,38 @@ def test_scan_windows_match_traced_mask_by_mask(monkeypatch):
             assert _circuit_fields(run_qam_circuit(ds, given)) == one_by_one, rows
 
 
+class _CutTrace(GateTrace):
+    """A trace that tallies gates but stores none, truncated after ``max_steps`` of them."""
+
+    def record(self, op, operands, before, after) -> None:
+        self.tally[op] += 1
+        self.truncated = sum(self.tally.values()) >= self.max_steps
+
+
+@pytest.mark.parametrize("n, m", [(1, 12), (2, 9), (3, 12), (5, 8), (6, 5), (7, 3)])
+def test_blocks_keep_padding_lanes_clear(n, m):
+    # L = 2^n lanes in blocks of B = ceil(L / 8) bytes: a partial byte for
+    # n = 1 and 2, one full byte for n = 3, and 4, 8 and 16 bytes for n = 5-7
+    rng = random.Random(100 * n + m)
+    pairs = [(tuple(rng.choice("ab") for _ in range(n)), rng.choice("xyz")) for _ in range(m)]
+    ds, given = Dataset.from_pairs(pairs), tuple(rng.choice("ab") for _ in range(n))
+    lanes = 2 ** n
+    trace = _TallyTrace()
+    one_by_one = _circuit_fields(run_qam_circuit(ds, given, trace=trace))
+    steps = sum(trace.tally.values())
+    # untraced, and cut two fifths of the way in, inside mask 0, 1, 2, 12, 25 and 50
+    # for these n: the masks left then run as lanes from a lane inside a byte
+    cut = _CutTrace(max_steps=steps * 2 // 5)
+    for run in (run_qam_circuit(ds, given), run_qam_circuit(ds, given, trace=cut)):
+        assert _circuit_fields(run) == one_by_one
+        for blocks in (run.c2_blocks, run.h2_blocks, run.a2_blocks, run.flag_block, run.not_restored_block):
+            assert blocks.shape[-1] == -(-lanes // 8)
+            assert not np.unpackbits(blocks, axis=-1, bitorder="little")[..., lanes:].any()
+        # pointer counts are popcounts of whole A2 blocks
+        assert to_analogical_set(run, ds).outcome_counts == analogical_set(ds, given).outcome_counts
+    assert cut.truncated and cut.tally == trace.tally
+
+
 def test_lanes_restore_every_ancilla():
     for ds, given in _lane_instances():
         run = run_qam_circuit(ds, given)
@@ -523,7 +565,7 @@ def test_restoration_check_is_per_lane():
     # so only lane 1 can report a flag that did not return to its preset
     s_reg = _Lanes("S", [0b101])
     d_regs = [_Lanes("D", [0])]
-    y_reg, z_reg, c2_reg = _Lanes("Y", [0b010]), _Lanes("Z", [0]), _Lanes("C2", [0])
+    y_reg, z_reg, c2_reg = _Lanes("Y", [0b010]), _Lanes("Z", [0]), _Blocks("C2", np.zeros((1, 1), np.uint8))
     bad = _containment_scan(s_reg, d_regs, y_reg, z_reg, c2_reg, 0b111, None)
     assert bad == 0b010
 
@@ -532,7 +574,7 @@ def test_containment_lanes_match_the_serial_loop_off_preset():
     # lane 2 starts with Z set, so Z is off its preset after every test there
     def scan(trace):
         s_reg, y_reg, z_reg = _Lanes("S", [0b101, 0b011]), _Lanes("Y", [0]), _Lanes("Z", [0b100])
-        c2_reg = _Lanes("C2", [0] * 4)
+        c2_reg = _Blocks("C2", np.zeros((4, 1), np.uint8))
         d_regs = [_Lanes("D[1]", [0, 1]), _Lanes("D[2]", [0, 0])]
         bad = _containment_scan(s_reg, d_regs, y_reg, z_reg, c2_reg, 0b111, trace)
         return bad, c2_reg.bits, y_reg.bits, z_reg.bits
