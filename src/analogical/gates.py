@@ -44,43 +44,43 @@ step k: every step reads F as the inverse found it, so it is one
 Two more loops run as lanes the same way.  The m^2 comparators behind V2
 (and W2) each have fresh scratch and write only their own entry, so they
 run as one comparator over m^2 pair lanes: lane j*m + j' holds D[j] (O[j])
-as u, D[j'] (O[j']) as v and V2(j, j') (W2(j, j')) as the flag; P2 is one
-Toffoli over the same lanes.  The containment scan runs its rows j as
-lanes, and within them its inner iterations over j' (test D[j'] into Z,
-Toffoli Y, Z into C2(j, j'), test again).  The inner iterations only read
-S, D[j'] and Y, none of which the inner loop writes; each one returns Z to
-the value it found (the comparator is a palindrome, so its second
-application undoes the first flip); and iteration j' writes only
-C2(j, j').  A row j (test D[j] into Y, the inner loop, test again) likewise
-reads only S and D, returns Y, and with it Z, to the values it found, and
-writes only row j of C2.  So the rows commute, and so do the iterations
-within a row: running them side by side on copies of Y and Z applies to
-every mask the same gates, with the same per-mask gate count and the same
-final registers.  Every scan word is a run of blocks of B bytes, one block
-per item holding its L mask lanes, as in a row of C2: a window of rows
-runs its Y tests on (j, mask) words and its inner tests on (j, j', mask)
-words, in which S is copied into every block and D[j] or D[j'] fills its
-blocks.  The Toffolis into C2 flip the window's C2 rows at once, block
-(j, j') of Z AND block j of Y into row (j, j'), and the restoration checks
-are the OR of the blocks.  Since a comparator costs more per byte on
-wider words, a window holds as many rows as keep its (j, j', mask) words
-within 16 KB, and at least one.
+as u, D[j'] (O[j']) as v and V2(j, j') (W2(j, j')) as the flag.  V2, W2
+and P2 are block registers of one lane, shared by every mask, and
+P2 = V2 AND W2 is the entrywise loop of H2 = C2 AND P2.  The containment
+scan runs its rows j as lanes.  A row j (test D[j] into Y, the inner loop
+over j', test again) reads only S and D, returns Y, and with it Z, to the
+values it found (the comparator is a palindrome, so its second
+application undoes the first flip), and writes only row j of C2, so the
+rows commute and run side by side on copies of Y.  Within a row,
+iteration j' (test D[j'] into Z, Toffoli Y and Z into C2(j, j'), test
+again) writes only C2(j, j'), and its test reads only S, D[j'] and Z and
+returns Z.  So the Z that iteration j' sees after its first test is the
+same in every row: one test of D[j'] shared by all rows gives every
+(j, j') item the Z the serial loop gives it, and the window's Toffolis
+into C2 are the outer AND of Y(j) and Z(j').  The scan's words are runs
+of blocks of B bytes, one block per exemplar holding its L mask lanes as a
+row of C2 does: S is copied into every block and D[b] fills block b.  A
+window of rows runs its Y tests on (j, mask) words and its Z tests on
+(j', mask) words, then flips its C2 rows at once, block j of Y AND block
+j' of Z into row (j, j'); the restoration checks are the OR of the blocks.
+Each mask sees the serial loop's gates and final registers, and a shared
+Z test counts once per row of the window.
 
-Each of these loops (pairs, P2 entries, masks, rows of the scan, and j'
-within them) has one body, which runs a window of items side by side; an
-untraced run makes one window per loop, except for the scan's rows.  With a
-:class:`GateTrace` attached the items run in windows of one item of the
-same code, on plain 0/1 bits: a mask window's blocks are one byte holding
-one lane.  The array loops then record, from their target's blocks before
-and after, one gate per entry in the serial loop's order.  A window's
-registers take the names of its first item's, and a word cut from a
-register records that register's indices (``_Lanes.offset``), so every
-recorded step is the one the serial circuit applies.  Once the trace is
-truncated the items left run in windows as an untraced run would, and
-``trace.tally`` counts each of their gates once per item, an array loop's
-m^2 gates in one step.  A traced run's mask windows need not start at a
-byte, so their outputs are joined lane by lane.  Results do not depend on
-the lane width.
+Each loop over items (pairs, masks, rows of the scan, and j' within them)
+has one body, which runs a window of items side by side; an untraced run
+makes one window per loop, and so six comparator calls in all: V2, W2,
+and the scan's two Y and two Z tests.  With a :class:`GateTrace` attached
+the items run in windows of one item of the same code, on plain 0/1 bits:
+a mask window's blocks are one byte holding one lane.  The array loops
+then record, from their target's blocks before and after, one gate per
+entry in the serial loop's order.  A window's registers take the names of
+its first item's, and a word cut from a register records that register's
+indices (``_Lanes.offset``), so every recorded step is the one the serial
+circuit applies.  Once the trace is truncated the items left run in one
+window as an untraced run would, and ``trace.tally`` counts each of their
+gates once per item, an array loop's m^2 gates in one step.  A traced
+run's mask windows need not start at a byte, so their outputs are joined
+lane by lane.  Results do not depend on the lane width.
 
 Matrix registers are kept flat in row-major order: entry (j, j') of an
 m x m array lives at position k = (j - 1) * m + j', with j, j' and k
@@ -457,7 +457,7 @@ class _LaneTally:
 
     def __init__(self, trace: "GateTrace | _LaneTally", items: int):
         self.tally = trace.tally
-        self.per_gate = items * (trace.per_gate if isinstance(trace, _LaneTally) else 1)
+        self.per_gate = items * getattr(trace, "per_gate", 1)
 
     def track(self, reg) -> None:
         pass
@@ -466,35 +466,32 @@ class _LaneTally:
         self.tally[op] += self.per_gate
 
 
-def _run_items(count: int, run, trace: GateTrace | None, window: int | None = None) -> None:
-    """Run items 0..count-1 of a step in windows; ``run(start, stop, trace)`` runs a window side by side.
+def _run_items(count: int, run, trace: GateTrace | None) -> None:
+    """Run items 0..count-1 of a step; ``run(start, stop, trace)`` runs a window of them side by side.
 
-    Without a trace the items run in windows of ``window`` items, all of them
-    in one window by default.  While ``trace`` records, each item runs in a
-    window of one item of the same code, which records exactly the steps the
-    serial circuit applies to it; once the trace is truncated the items left
-    run in windows of ``window`` items and their gates go to ``trace.tally``
-    once per item.
+    Without a trace the items run in one window.  While ``trace`` records,
+    each item runs in a window of one item of the same code, which records
+    exactly the steps the serial circuit applies to it; once the trace is
+    truncated the items left run in one window and their gates go to
+    ``trace.tally`` once per item.
     """
     start = 0
     while trace is not None and not trace.truncated and start < count:
         run(start, start + 1, trace)
         start += 1
-    window = window or count
-    for lo in range(start, count, window):
-        hi = min(lo + window, count)
-        run(lo, hi, None if trace is None else _LaneTally(trace, hi - lo))
+    if start < count:
+        run(start, count, None if trace is None else _LaneTally(trace, count - start))
 
 
-def _entry_lanes(reg: _Lanes, start: int, stop: int) -> _Lanes:
-    """Entries start..stop-1 of a flat bit register as one word, lane i holding entry start + i."""
-    return _Lanes(reg.name, _pack_lanes(np.array(reg._bits[start:stop], dtype=np.uint8)[:, None]), start)
+def _entry_lanes(reg: _Blocks, start: int, stop: int) -> _Lanes:
+    """Entries start..stop-1 of a one-lane block register as one word, lane i holding entry start + i."""
+    return _Lanes(reg.name, _pack_lanes(reg.rows[start:stop]), start)
 
 
-def _store_entries(reg: _Lanes, word: _Lanes, stop: int) -> None:
+def _store_entries(reg: _Blocks, word: _Lanes, stop: int) -> None:
     """Write the lanes of ``word`` back into entries offset..stop-1 of ``reg``; undoes :func:`_entry_lanes`."""
     count = stop - word.offset
-    reg._bits[word.offset:stop] = _unpack_blocks(_split(word[0], (count + 7) // 8, 1), count)[0].tolist()
+    reg.rows[word.offset:stop, 0] = _unpack_blocks(_split(word[0], (count + 7) // 8, 1), count)[0]
 
 
 class _Blocks:
@@ -524,16 +521,17 @@ def _block_words(blocks: np.ndarray) -> list[int]:
 def _xor_gates(op: str, operands, rows: np.ndarray, flip: np.ndarray, entries: Sequence[int], trace) -> None:
     """``rows ^= flip``: one ``op`` gate per entry of ``entries``, each acting on every lane at once.
 
-    The blocks of ``rows`` are the entries of a mask window, or the items of a
+    The blocks of ``rows`` are a register's entries, or the items of a
     containment-scan window, whose ``entries`` is then its first entry.  A
     trace records the gates in order, ``operands(k)`` naming entry k's
     controls and target, with the target block's lane word before and after;
-    a :class:`_LaneTally` adds them for every item in one step.
+    a truncated trace, or a :class:`_LaneTally` for every item, adds them to
+    its tally in one step.
     """
-    if trace is None or isinstance(trace, _LaneTally):
+    if trace is None or trace.truncated:
         rows ^= flip
         if trace is not None:
-            trace.tally[op] += len(entries) * trace.per_gate
+            trace.tally[op] += len(entries) * getattr(trace, "per_gate", 1)
         return
     before = _block_words(rows)
     rows ^= flip
@@ -561,12 +559,6 @@ def _bit_column(name: str, arr: np.ndarray) -> np.ndarray:
     return flat.astype(np.uint8).reshape(-1, 1)
 
 
-# Bytes of the widest word of one window of containment-scan rows.  Per byte,
-# a comparator over 115 KB words costs twice what it costs over 15 KB words,
-# and over 1.8 MB words three times, so the rows run in windows that fit.
-_SCAN_WORD_BYTES = 16_384
-
-
 def _containment_scan(
     s_reg: _Lanes,
     d_regs: Sequence[_Lanes],
@@ -580,14 +572,15 @@ def _containment_scan(
 
     ``d_regs`` hold each exemplar's difference bits, shared by every lane.
     C2(j, j') becomes 1 iff both difference vectors are in the supracontext.
-    A window of rows j runs its Y tests as (j, mask) lanes and its inner
-    tests over a window of j' as (j, j', mask) lanes (see the module
-    docstring for why that applies the same gates).  Each word is a run of
-    blocks of ``size`` bytes, one block per (j) or (j, j') item, holding
-    its mask lanes, so a window's Toffolis into C2 flip the C2 rows of its
-    items.  Returns the word of lanes in which an ancilla or either flag
-    register did not come back to its preset (0 when every lane is
-    restored).
+    A window of rows j runs its Y tests as (j, mask) lanes.  The inner test
+    of D[j'] into Z reads only S, D[j'] and Z and returns Z, so it is the
+    same in every row: the window runs it once per j', as (j', mask) lanes,
+    and each of its gates counts once per row (see the module docstring).
+    Each word is a run of blocks of ``size`` bytes, one block per exemplar,
+    holding its mask lanes, so a window's Toffolis into C2 flip the C2 rows
+    of its (j, j') items.  Returns the word of lanes in which an ancilla or
+    either flag register did not come back to its preset (0 when every lane
+    is restored).
     """
     m = len(d_regs)
     size = (ones.bit_length() + 7) // 8  # bytes per block of mask lanes
@@ -596,46 +589,47 @@ def _containment_scan(
     c2_grid = c2.rows.reshape(m, m, size)
     bad = 0
 
-    def fold(word: int, count: int) -> int:
-        # the OR of a word's blocks: a lane is bad if it is bad in any item
-        return _word(np.bitwise_or.reduce(_split(word, size, count)))
-
     @cache
-    def tiled(copies: int, start: int, stop: int) -> tuple[_Lanes, _Lanes, int]:
-        # copies runs of blocks start..stop-1: S in every block, D[b] in block b
-        s_t = _Lanes(s_reg.name, [_tile(w, size, copies * (stop - start)) for w in s_reg])
-        d_t = [int.from_bytes(blocks.tobytes() * copies, "little") for blocks in d_blocks[:, start:stop]]
-        return s_t, _Lanes(d_regs[start].name, d_t), _tile(ones, size, copies * (stop - start))
+    def tiled(start: int, stop: int) -> tuple[_Lanes, _Lanes, int]:
+        # blocks start..stop-1: S in every block, D[b] in block b
+        count = stop - start
+        s_t = _Lanes(s_reg.name, [_tile(w, size, count) for w in s_reg])
+        return s_t, _Lanes(d_regs[start].name, [_word(b) for b in d_blocks[:, start:stop]]), _tile(ones, size, count)
+
+    def test(reg: _Lanes, start: int, stop: int, trace) -> tuple[_Lanes, int]:
+        # the containment test of exemplars start..stop-1 into copies of reg; returns them and the bad lanes
+        s_t, d_t, all_t = tiled(start, stop)
+        flag = _Lanes(reg.name, [_tile(reg[0], size, stop - start)])
+        return flag, all_t ^ _comparator_apply("and", s_t, d_t, all_t, flag, 0, all_t, trace)
+
+    def untest(flag: _Lanes, bad_t: int, start: int, stop: int, trace) -> None:
+        # the same test again, which returns flag to its preset in every restored lane
+        nonlocal bad
+        s_t, d_t, all_t = tiled(start, stop)
+        bad_t |= all_t ^ _comparator_apply("and", s_t, d_t, all_t, flag, 0, all_t, trace)
+        # the OR of the blocks: a lane is bad if it is bad in any item
+        bad |= _word(np.bitwise_or.reduce(_split(bad_t | flag[0], size, stop - start)))
 
     def run_rows(first: int, last: int, trace) -> None:
-        nonlocal bad
-        rows = last - first
-        s_y, d_y, all_y = tiled(1, first, last)
-        y_t = _Lanes(y_reg.name, [_tile(y_reg[0], size, rows)])
-        bad_y = all_y ^ _comparator_apply("and", s_y, d_y, all_y, y_t, 0, all_y, trace)
+        y_t, bad_y = test(y_reg, first, last, trace)
+        y = _split(y_t[0], size, last - first)[:, None]
 
         def run(start: int, stop: int, trace) -> None:
-            nonlocal bad
-            s_t, d_t, all_t = tiled(rows, start, stop)
-            count = rows * (stop - start)
-            z_t = _Lanes(z_reg.name, [_tile(z_reg[0], size, count)])
-            bad_t = all_t ^ _comparator_apply("and", s_t, d_t, all_t, z_t, 0, all_t, trace)
-            # C2(j, j') ^= Y(j) AND Z(j, j'): block (j, j') of Z against block j of Y
-            flip = _split(z_t[0], size, count).reshape(rows, stop - start, size) & _split(y_t[0], size, rows)[:, None]
+            z_t, bad_z = test(z_reg, start, stop, trace)
+            # C2(j, j') ^= Y(j) AND Z(j'): block j of Y against block j' of Z
+            flip = y & _split(z_t[0], size, stop - start)
             operands = lambda k: ((y_reg.name, 0), (z_reg.name, 0), (c2.name, k))
             _xor_gates("ccnot", operands, c2_grid[first:last, start:stop], flip, (first * m + start,), trace)
-            bad_t |= all_t ^ _comparator_apply("and", s_t, d_t, all_t, z_t, 0, all_t, trace)
-            bad |= fold(bad_t | z_t[0], count)
+            untest(z_t, bad_z, start, stop, trace)
 
         _run_items(m, run, trace)
-        bad_y |= all_y ^ _comparator_apply("and", s_y, d_y, all_y, y_t, 0, all_y, trace)
-        bad |= fold(bad_y | y_t[0], rows)
+        untest(y_t, bad_y, first, last, trace)
 
-    _run_items(m, run_rows, trace, max(1, _SCAN_WORD_BYTES // (m * size)))
+    _run_items(m, run_rows, trace)
     return bad
 
 
-def _pair_array(regs: Sequence[_Lanes], out_reg: _Lanes, trace: GateTrace | None) -> None:
+def _pair_array(regs: Sequence[_Lanes], out_reg: _Blocks, trace: GateTrace | None) -> None:
     """Flip out(j, j') iff regs[j] == regs[j'], one comparator per ordered pair (V2 from D, W2 from O).
 
     A window of pairs runs as the lanes of one comparator: lane k - start
@@ -657,21 +651,10 @@ def _pair_array(regs: Sequence[_Lanes], out_reg: _Lanes, trace: GateTrace | None
     _run_items(m * m, run, trace)
 
 
-def _and_entries(a_reg: _Lanes, b_reg: _Lanes, out_reg: _Lanes, trace: GateTrace | None) -> None:
-    """out ^= a AND b entrywise, one Toffoli per entry run as one lane each (P2 from V2/W2)."""
-
-    def run(start: int, stop: int, trace) -> None:
-        out = _entry_lanes(out_reg, start, stop)
-        _ccnot(_entry_lanes(a_reg, start, stop), 0, _entry_lanes(b_reg, start, stop), 0, out, 0, trace)
-        _store_entries(out_reg, out, stop)
-
-    _run_items(len(out_reg), run, trace)
-
-
-def _heterogeneity(c2: _Blocks, p2: _Blocks, h2: _Blocks, trace: GateTrace | None) -> None:
-    """H2 ^= C2 AND P2, one Toffoli per entry."""
-    operands = lambda k: ((c2.name, k), (p2.name, k), (h2.name, k))
-    _xor_gates("ccnot", operands, h2.rows, c2.rows & p2.rows, range(len(h2.rows)), trace)
+def _and_entries(a: _Blocks, b: _Blocks, out: _Blocks, trace: GateTrace | None) -> None:
+    """out ^= a AND b, one Toffoli per entry (P2 from V2 and W2, H2 from C2 and P2)."""
+    operands = lambda k: ((a.name, k), (b.name, k), (out.name, k))
+    _xor_gates("ccnot", operands, out.rows, a.rows & b.rows, range(len(out.rows)), trace)
 
 
 def _negate(reg: _Blocks, all_lanes: np.ndarray, trace: GateTrace | None) -> None:
@@ -731,7 +714,7 @@ def build_heterogeneity_array(c2, p2, trace: GateTrace | None = None) -> np.ndar
     h2 = _Blocks(f"het{uid}.H2", np.zeros((m * m, 1), np.uint8))
     if trace is not None:
         trace.track(h2)
-    _heterogeneity(c2_reg, p2_reg, h2, trace)
+    _and_entries(c2_reg, p2_reg, h2, trace)
     return h2.rows.reshape(m, m)
 
 
@@ -841,7 +824,7 @@ def _supracontext_circuits(
     s_words: Sequence[int],
     ones: int,
     d_regs: Sequence[_Lanes],
-    p2_reg: _Lanes,
+    p2_reg: _Blocks,
     trace: GateTrace | None,
 ) -> np.ndarray:
     """Run the per-mask circuit once over the lanes of ``ones``, S holding ``s_words``.
@@ -853,7 +836,7 @@ def _supracontext_circuits(
     one (3 * m * m + 2, B) array: the blocks of C2, H2 and A2, then the
     flag block and the not-restored block.
     """
-    m2 = len(p2_reg)
+    m2 = len(p2_reg.rows)
     size = (ones.bit_length() + 7) // 8
     all_lanes = _split(ones, size, 1)[0]
     out = np.zeros((3 * m2 + 2, size), np.uint8)
@@ -868,8 +851,7 @@ def _supracontext_circuits(
             trace.track(reg)
 
     bad = _containment_scan(s_reg, d_regs, y_reg, z_reg, c2, ones, trace)
-    p2 = _Blocks(p2_reg.name, np.multiply.outer(np.array(p2_reg.bits, np.uint8), all_lanes))
-    _heterogeneity(c2, p2, h2, trace)
+    _and_entries(c2, _Blocks(p2_reg.name, p2_reg.rows * all_lanes), h2, trace)
     _negate(h2, all_lanes, trace)
     _sweep(h2, f, trace)
     out[-2] = f.rows[m2]
@@ -901,8 +883,8 @@ def run_qam_circuit(
 ) -> CircuitRun:
     """Run the full gate pipeline over all 2^n supracontexts.
 
-    Builds V2, W2, P2 once over m^2 pair lanes, then runs the per-mask
-    circuit on all masks at once, one lane each.  With a ``trace`` the pairs
+    Builds V2 and W2 once over m^2 pair lanes and P2 = V2 AND W2 entrywise,
+    then runs the per-mask circuit on all masks at once, one lane each.  With a ``trace`` the pairs
     and the masks run in windows of one item of the same code, masks in
     :func:`iter_masks` order, so the trace records every gate on plain bits,
     until it is truncated: the items left then run as lanes with no trace,
@@ -917,9 +899,9 @@ def run_qam_circuit(
     # the engine's own registers hold bits by construction, so they skip BitRegister's check
     d_regs = [_Lanes(f"D[{j}]", bits) for j, bits in enumerate(_bit_rows(d_ints, ds.n), 1)]
     o_regs = [_Lanes(f"O[{j}]", bits) for j, bits in enumerate(_bit_rows(outcomes, width), 1)]
-    v2_reg = _Lanes("V2", [1] * (m * m))
-    w2_reg = _Lanes("W2", [1] * (m * m))
-    p2_reg = _Lanes("P2", [0] * (m * m))
+    v2_reg = _Blocks("V2", np.ones((m * m, 1), np.uint8))
+    w2_reg = _Blocks("W2", np.ones((m * m, 1), np.uint8))
+    p2_reg = _Blocks("P2", np.zeros((m * m, 1), np.uint8))
     if trace is not None:
         for reg in (*d_regs, *o_regs, v2_reg, w2_reg, p2_reg):
             trace.track(reg)
@@ -941,7 +923,7 @@ def run_qam_circuit(
     blocks = parts[0][1]
     if len(parts) > 1:  # a traced run's windows start at lanes that need not begin a byte
         blocks = np.packbits(np.hstack([_unpack_blocks(p, lanes) for lanes, p in parts]), axis=1, bitorder="little")
-    v2, w2, p2 = (np.array(reg._bits, np.uint8).reshape(m, m) for reg in (v2_reg, w2_reg, p2_reg))
+    v2, w2, p2 = (reg.rows.reshape(m, m) for reg in (v2_reg, w2_reg, p2_reg))
     m2 = m * m
     return CircuitRun(d_ints, v2, w2, p2, masks, blocks[:m2], blocks[m2:2 * m2], blocks[2 * m2:3 * m2], *blocks[-2:])
 

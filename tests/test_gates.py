@@ -8,6 +8,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given as hgiven
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from analogical import (
     BitRegister,
@@ -348,21 +351,18 @@ def test_trace_steps_are_pinned(instance, steps, sha256, monkeypatch):
 def test_truncation_anywhere_keeps_results_steps_and_tally(worked, monkeypatch):
     # cut points inside V2, W2 and P2 (steps 0-1259), inside the first mask's
     # containment scan (1260-2891, 272 steps per row) and sweep (to 3107), and
-    # inside later masks; with two-row windows the rows left after a cut in
-    # the scan, and every later mask's rows, run in several windows
+    # inside later masks; the rows left after a cut in the scan run as one window
     ds, given = worked
     untraced = _circuit_fields(run_qam_circuit(ds, given))
     _, full = _numbered_trace(ds, given, monkeypatch)
     steps = _step_tuples(full)
-    for window_bytes in (gates._SCAN_WORD_BYTES, 2 * ds.m):  # blocks of one byte: all rows, then 2
-        monkeypatch.setattr(gates, "_SCAN_WORD_BYTES", window_bytes)
-        for cut in (0, 1, 10, 30, 900, 1249, 1259, 1260, 1261, 1300, 1340, 1500, 2000, 2500,
-                    3107, 3108, 3200, 5000, 16_043):
-            run, trace = _numbered_trace(ds, given, monkeypatch, max_steps=cut)
-            assert trace.truncated, cut
-            assert _step_tuples(trace) == steps[:cut], cut
-            assert trace.tally == full.tally, cut
-            assert _circuit_fields(run) == untraced, cut
+    for cut in (0, 1, 10, 30, 900, 1249, 1259, 1260, 1261, 1300, 1340, 1500, 2000, 2500,
+                3107, 3108, 3200, 5000, 16_043):
+        run, trace = _numbered_trace(ds, given, monkeypatch, max_steps=cut)
+        assert trace.truncated, cut
+        assert _step_tuples(trace) == steps[:cut], cut
+        assert trace.tally == full.tally, cut
+        assert _circuit_fields(run) == untraced, cut
 
 
 class _CountingTrace(GateTrace):
@@ -393,9 +393,9 @@ def test_truncated_trace_stops_recording_at_the_cut(worked):
     pair_trace = GateTrace()
     gate_identity((0,) * ds.n, (1,) * ds.n, trace=pair_trace)
     full = GateTrace()
-    run_qam_circuit(ds, given, trace=full)
+    masks = run_qam_circuit(ds, given, trace=full).masks
     pair_gates = len(pair_trace.steps)
-    pair_stage = next(i for i, s in enumerate(full.steps) if s.operands[0][0] == "m000.S")
+    pair_stage = next(i for i, s in enumerate(full.steps) if s.operands[0][0] == f"m{bits_to_str(masks[0])}.S")
     mask_gates = (len(full.steps) - pair_stage) // 2 ** ds.n
     cut = _CountingTrace(max_steps=10)
     run = run_qam_circuit(ds, given, trace=cut)
@@ -405,19 +405,40 @@ def test_truncated_trace_stops_recording_at_the_cut(worked):
     assert _circuit_fields(run) == _circuit_fields(run_qam_circuit(ds, given))
 
 
-def test_untraced_run_calls_the_comparator_2_plus_4w_times(worked, monkeypatch):
+def test_truncated_trace_skips_the_array_loops_of_a_cut_mask(worked):
     ds, given = worked
+    comparator = GateTrace()
+    gate_inclusion((0,) * ds.n, (1,) * ds.n, trace=comparator)
+    gates_per_test = len(comparator.steps)
+    full = GateTrace()
+    masks = run_qam_circuit(ds, given, trace=full).masks
+    scan = next(i for i, s in enumerate(full.steps) if s.operands[0][0] == f"m{bits_to_str(masks[0])}.S")
+    # one gate into the second Z test of item (1, 1): after Y, Z and the Toffoli
+    cut_at = scan + 2 * gates_per_test + 2
+    cut = _CountingTrace(max_steps=cut_at)
+    run = run_qam_circuit(ds, given, trace=cut)
+    assert cut.truncated and len(cut.steps) == cut_at
+    # the rest of that Z test, then the Y test that closes row 1; mask 0's
+    # array loops only add to the tally
+    assert cut.calls == cut_at + (gates_per_test - 1) + gates_per_test
+    assert cut.tally == full.tally
+    assert _circuit_fields(run) == _circuit_fields(run_qam_circuit(ds, given))
+
+
+def test_untraced_run_calls_the_comparator_6_times(worked, monkeypatch):
+    rng = random.Random(60)
+    pairs = [(tuple(rng.choice("abc") for _ in range(8)), rng.choice("pqr")) for _ in range(60)]
+    wide = Dataset.from_pairs(pairs), tuple(rng.choice("abc") for _ in range(8))
     calls = []
     apply = gates._comparator_apply
-    monkeypatch.setattr(gates, "_comparator_apply", lambda *args: calls.append(args) or apply(*args))
-    # V2 and W2 once each over m^2 pair lanes; per window of rows the two Y
-    # tests over (j, mask) lanes and the two Z tests over (j, j', mask) lanes
-    for window_bytes, windows in ((gates._SCAN_WORD_BYTES, 1), (ds.m, 6), (4 * ds.m, 2)):
-        monkeypatch.setattr(gates, "_SCAN_WORD_BYTES", window_bytes)  # one byte per mask block
+    monkeypatch.setattr(gates, "_comparator_apply", lambda *args: calls.append(args[0]) or apply(*args))
+    for ds, given in (worked, wide):
         calls.clear()
         run = run_qam_circuit(ds, given)
-        assert len(calls) == 2 + 4 * windows, window_bytes
-        assert to_analogical_set(run, ds).outcome_counts == EXPECTED_COUNTS
+        # V2 and W2 once each over m^2 pair lanes; the two Y tests over
+        # (j, mask) lanes and the two Z tests over (j', mask) lanes
+        assert len(calls) == 6, ds.m
+        assert to_analogical_set(run, ds).outcome_counts == analogical_set(ds, given).outcome_counts
 
 
 def test_readout_rejects_a_dataset_of_another_shape(worked):
@@ -512,21 +533,46 @@ def test_lanes_match_traced_mask_by_mask():
         assert _circuit_fields(run_qam_circuit(ds, given)) == _circuit_fields(one_by_one)
 
 
-def test_scan_windows_match_traced_mask_by_mask(monkeypatch):
-    for ds, given in _lane_instances():
-        one_by_one = _circuit_fields(run_qam_circuit(ds, given, trace=_TallyTrace()))
-        size = -(-2 ** ds.n // 8)  # every mask runs as a lane of blocks of this many bytes
-        for rows in (1, 2):
-            monkeypatch.setattr(gates, "_SCAN_WORD_BYTES", rows * ds.m * size)
-            assert _circuit_fields(run_qam_circuit(ds, given)) == one_by_one, rows
-
-
 class _CutTrace(GateTrace):
     """A trace that tallies gates but stores none, truncated after ``max_steps`` of them."""
 
     def record(self, op, operands, before, after) -> None:
         self.tally[op] += 1
         self.truncated = sum(self.tally.values()) >= self.max_steps
+
+
+def test_rows_left_after_a_cut_in_the_scan_match_traced_mask_by_mask():
+    for ds, given in _lane_instances():
+        full = GateTrace(max_steps=10**7)
+        one_by_one = run_qam_circuit(ds, given, trace=full)
+        pfx = f"m{bits_to_str(one_by_one.masks[0])}."
+        scan = next(i for i, s in enumerate(full.steps) if s.operands[0][0] == pfx + "S")
+        row = (next(i for i, s in enumerate(full.steps) if s.operands[-1][0] == pfx + "H2") - scan) // ds.m
+        # halfway through row 1, and in row 2's first Y test: the rows left
+        # run as one window whose Z tests every row shares
+        for cut_at in (scan + row // 2, scan + row + 1):
+            cut = _CutTrace(max_steps=cut_at)
+            run = run_qam_circuit(ds, given, trace=cut)
+            assert cut.truncated and cut.tally == full.tally, cut_at
+            assert _circuit_fields(run) == _circuit_fields(one_by_one), cut_at
+
+
+@st.composite
+def _small_instances(draw):
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    symbols = st.sampled_from("abc")
+    context = st.tuples(*[symbols] * n)
+    pairs = draw(st.lists(st.tuples(context, st.sampled_from("pqrst")), min_size=m, max_size=m))
+    return Dataset.from_pairs(pairs), draw(context)
+
+
+@settings(max_examples=60, deadline=None)
+@hgiven(_small_instances())
+def test_random_datasets_match_traced_runs_and_the_fast_engine(instance):
+    ds, given = instance
+    untraced = run_qam_circuit(ds, given)
+    assert _circuit_fields(untraced) == _circuit_fields(run_qam_circuit(ds, given, trace=_TallyTrace()))
+    assert to_analogical_set(untraced, ds).outcome_counts == analogical_set(ds, given).outcome_counts
 
 
 @pytest.mark.parametrize("n, m", [(1, 12), (2, 9), (3, 12), (5, 8), (6, 5), (7, 3)])
