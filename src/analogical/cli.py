@@ -24,10 +24,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cache
-from itertools import chain, product, starmap
+from itertools import chain, compress, product, repeat, starmap
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +39,6 @@ from .core import (
     FeatureVector,
     LatticeSizeError,
     bits_to_str,
-    encode,
     load_dataset,
 )
 from .gates import GateTrace, run_qam_circuit, to_analogical_set
@@ -47,13 +46,11 @@ from .homogeneity import (
     AnalogicalSet,
     NoAnalogicalSupportError,
     OutcomeDistribution,
-    SupracontextVerdict,
     analogical_set,
-    criteria_verdicts,
     most_likely_outcome,
-    pointer_heterogeneity_matrix,
     predict_distribution,
     sample_outcome,
+    _ExplainLattice,
 )
 from .uncertainty import (
     InvalidDistributionError,
@@ -156,23 +153,35 @@ def _json(obj, nl: str) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+class _Rendered:
+    """A list for :func:`_emit_json` whose items arrive as JSON text, at the items' indent."""
+
+    def __init__(self, items: Iterable[str]) -> None:
+        self.items = items
+
+
 def _emit_json(report: dict) -> None:
     """Write ``json.dumps(report, indent=2)`` and a newline, one chunk at a time.
 
-    A top-level value that is an iterator is written as a list, one item at
-    a time, so its items are built, rendered and dropped one by one.
+    A top-level value that is an iterator, or :class:`_Rendered`, is written
+    as a list, one item at a time, so its items are built, rendered and
+    dropped one by one.
     """
     write = sys.stdout.write
     sep = "{\n  "
     for key, value in report.items():
         write(sep + _json_str(key) + ": ")
         sep = ",\n  "
-        if not isinstance(value, Iterator):
+        if isinstance(value, _Rendered):
+            items = value.items
+        elif isinstance(value, Iterator):
+            items = map(_json, value, repeat("\n    "))
+        else:
             write(_json(value, "\n  "))
             continue
         opener = "["
-        for item in value:
-            write(opener + "\n    " + _json(item, "\n    "))
+        for item in items:
+            write(opener + "\n    " + item)
             opener = ","
         write("[]" if opener == "[" else "\n  ]")
     write("{}\n" if sep == "{\n  " else "\n}\n")
@@ -232,76 +241,99 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _explain_record(v: SupracontextVerdict, keys: Sequence[str], p2) -> dict:
-    """One mask's explain entry: members, subcontexts, the four verdicts, pointers.
+# --- explain ----------------------------------------------------------------
 
-    ``keys`` holds each exemplar's difference vector as a bit string and
-    ``p2`` the pointer heterogeneity matrix; both are built once per run.
-    """
-    member_keys = [keys[j - 1] for j in v.members]
-    groups: dict[str, list[int]] = {}
-    for j, key in zip(v.members, member_keys):
-        groups.setdefault(key, []).append(j)
-    return {
-        "mask": bits_to_str(v.mask),
-        "members": list(v.members),
-        "member_outcomes": list(v.member_outcomes),
-        "subcontexts": groups,
-        "homogeneous": v.homogeneous,
-        "verdicts": criteria_verdicts(v.members, member_keys, v.member_outcomes, p2),
-        "pointer_count": v.pointer_count,
-        "pointers": list(product(v.members, repeat=2)) if v.homogeneous else [],
-        "offending_pairs": [] if v.homogeneous else _offending_pairs(v.members, p2),
-    }
+_CRITERIA = ("pointer", "plurality", "determinism", "disagreement")
+# an entry's verdicts object, by the 4-bit code of the verdicts in _CRITERIA order
+_VERDICTS_JSON = [
+    _json(dict(zip(_CRITERIA, bits)), "\n      ") for bits in product((False, True), repeat=4)
+]
+_ITEM = "\n        "  # newline and indent of an item of a list in an explain entry
+_NEXT = "," + _ITEM
 
 
-def _offending_pairs(members: Sequence[int], p2: np.ndarray) -> list[list[int]]:
-    """The member pairs (a, b), a listed before b, with ``p2[a - 1, b - 1]`` set.
-
-    They come in the order of ``itertools.combinations(members, 2)``: the
-    row-major order of the upper triangle of P2's member block.
-    """
-    js = np.array(members, dtype=np.intp)
-    a, b = np.triu(p2[np.ix_(js - 1, js - 1)], 1).nonzero()
-    return np.column_stack((js[a], js[b])).tolist()
+def _in_product_order(firsts: list[str], seconds: list[str]) -> str:
+    """Each first piece, then each second piece after it: one join per first piece."""
+    return "".join(chain.from_iterable(zip(firsts, map(str.join, firsts, repeat(seconds)))))
 
 
-def _explain_block(rec: dict, labels: Sequence[str]) -> str:
-    """The text block of one explain record, blank line included."""
-    members = rec["members"]
-    if not members:
-        return f"mask {rec['mask']}: empty, homogeneous, 0 pointers\n\n"
-    word = "member" if len(members) == 1 else "members"
-    verdicts = rec["verdicts"]
-    agree = "agree" if len(set(verdicts.values())) == 1 else "disagree"
-    lines = [
-        f"mask {rec['mask']}: {len(members)} {word}",
-        "  members: " + ", ".join(f"{j} ({labels[j - 1]})" for j in members),
-        "  subcontexts: "
-        + ", ".join(
-            f"{d} {{{', '.join(str(j) for j in js)}}}" for d, js in rec["subcontexts"].items()
-        ),
-        f"  verdict: {'homogeneous' if rec['homogeneous'] else 'heterogeneous'} "
-        f"({', '.join(verdicts)} {agree})",
+def _explain_text(lattice: _ExplainLattice, ds: Dataset) -> Iterator[str]:
+    """Each mask's text block, blank line included."""
+    labels = [f"{' '.join(e.context)} / {e.outcome}" for e in ds.exemplars]
+    members = [f"{j} ({label})" for j, label in enumerate(labels, 1)]
+    subcontexts = [
+        f"{key} {{{', '.join(map(str, js))}}}" for key, js in zip(lattice.keys, lattice.groups)
     ]
-    if rec["homogeneous"]:
-        lines.append(f"  pointers ({rec['pointer_count']}):")
-        lines.extend(f"    {labels[a - 1]} -> {labels[b - 1]}" for a, b in rec["pointers"])
-    else:
-        lines.append(
-            "  offending pairs: " + ", ".join(f"({a}, {b})" for a, b in rec["offending_pairs"])
+    sources, targets = [f"    {label} -> " for label in labels], [f"{label}\n" for label in labels]
+    # a pair is "(a, " then "b), "; the last ", " is cut
+    numbers = range(1, ds.m + 1)
+    ends = np.array([f"({j}, " for j in numbers] + [f"{j}), " for j in numbers], dtype=object)
+    for mask, member_flags, sub_flags, k, homogeneous, code, offending in lattice:
+        if not k:
+            yield f"mask {mask}: empty, homogeneous, 0 pointers\n\n"
+            continue
+        head = (
+            f"mask {mask}: {k} {'member' if k == 1 else 'members'}\n"
+            f"  members: {', '.join(compress(members, member_flags))}\n"
+            f"  subcontexts: {', '.join(compress(subcontexts, sub_flags))}\n"
+            f"  verdict: {'homogeneous' if homogeneous else 'heterogeneous'} "
+            f"({', '.join(_CRITERIA)} {'agree' if code in (0, 15) else 'disagree'})\n"
         )
-        lines.append("  pointers (0): none")
-    return "\n".join(lines) + "\n\n"
+        if homogeneous:
+            pointers = _in_product_order(
+                list(compress(sources, member_flags)), list(compress(targets, member_flags))
+            )
+            yield f"{head}  pointers ({k * k}):\n{pointers}\n"
+        else:
+            pairs = "".join(ends[offending].ravel().tolist())[:-2]
+            yield f"{head}  offending pairs: {pairs}\n  pointers (0): none\n\n"
+
+
+def _json_items(items: str, brackets: str = "[]") -> str:
+    """An explain entry's list, or object, of ``items``, each rendered and followed by ``_NEXT``."""
+    if not items:
+        return brackets
+    return brackets[0] + _ITEM + items[: -len(_NEXT)] + "\n      " + brackets[1]
+
+
+def _explain_json(lattice: _ExplainLattice, ds: Dataset) -> Iterator[str]:
+    """Each mask's entry as ``json.dumps(indent=2)`` renders it in the report's mask list."""
+    numbers = [f"{j}{_NEXT}" for j in range(1, ds.m + 1)]
+    outcomes = [_json_str(e.outcome) + _NEXT for e in ds.exemplars]
+    subcontexts = [
+        f'"{key}": {_json(js, _ITEM)}{_NEXT}' for key, js in zip(lattice.keys, lattice.groups)
+    ]
+    # a pair is its first number's piece then its second's
+    firsts = [f"[{_ITEM}  {j},{_ITEM}  " for j in range(1, ds.m + 1)]
+    seconds = [f"{j}{_ITEM}]{_NEXT}" for j in range(1, ds.m + 1)]
+    ends = np.array(firsts + seconds, dtype=object)
+    for mask, member_flags, sub_flags, k, homogeneous, code, offending in lattice:
+        pointers = pairs = ""
+        if homogeneous:
+            pointers = _in_product_order(
+                list(compress(firsts, member_flags)), list(compress(seconds, member_flags))
+            )
+        else:
+            pairs = "".join(ends[offending].ravel().tolist())
+        groups = "".join(compress(subcontexts, sub_flags))
+        yield (
+            f'{{\n      "mask": "{mask}",'
+            f'\n      "members": {_json_items("".join(compress(numbers, member_flags)))},'
+            f'\n      "member_outcomes": {_json_items("".join(compress(outcomes, member_flags)))},'
+            f'\n      "subcontexts": {_json_items(groups, "{}")},'
+            f'\n      "homogeneous": {"true" if homogeneous else "false"},'
+            f'\n      "verdicts": {_VERDICTS_JSON[code]},'
+            f'\n      "pointer_count": {k * k if homogeneous else 0},'
+            f'\n      "pointers": {_json_items(pointers)},'
+            f'\n      "offending_pairs": {_json_items(pairs)}\n    }}'
+        )
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
     ds, given = _load(args)
     aset = _build_set(args, ds, given)
     dist = predict_distribution(aset)
-    keys = [format(d, f"0{ds.n}b") for d in encode(ds, given)[0].tolist()]
-    p2 = pointer_heterogeneity_matrix(ds, given)
-    records = (_explain_record(v, keys, p2) for v in aset.verdicts)
+    lattice = _ExplainLattice(ds, given, aset.verdicts)
 
     if args.format == "json":
         _emit_json(
@@ -309,7 +341,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 "schema_version": 1,
                 "command": "explain",
                 "given": list(given),
-                "masks": records,
+                "masks": _Rendered(_explain_json(lattice, ds)),
                 "total_pointers": aset.total_pointers,
                 "pointer_counts": dict(aset.outcome_counts),
                 "probabilities": _probabilities_json(dist),
@@ -318,11 +350,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
 
-    labels = [f"{' '.join(e.context)} / {e.outcome}" for e in ds.exemplars]
     write = sys.stdout.write
     write(f"dataset: {ds.m} exemplars, {ds.n} features\ngiven: {' '.join(given)}\n\n")
-    for rec in records:
-        write(_explain_block(rec, labels))
+    for block in _explain_text(lattice, ds):
+        write(block)
     write(f"{_distribution_line(dist, aset.total_pointers)}\n{_counts_line(aset)}\n")
     return EXIT_OK
 

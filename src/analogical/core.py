@@ -34,10 +34,11 @@ Bits = tuple[int, ...]
 # about (outcomes + 1) * 2 * w * 2^n bytes, rows of w bytes (1 up to m = 255)
 # plus one transposed copy: 128 MiB at n = 24 with 3 outcomes and m <= 255.
 # Either engine's lattice record keeps 2^n * (1 + w) bytes, 32 MiB at n = 24.
-# Per-mask verdicts (explain, two-step prediction) still walk all 2^n masks
-# in Python.  The gate engine holds C2, H2, A2 and its sweep register as
-# 4 * m^2 + 1 rows of 2^n bits each, plus about 4n + 5 words of m * 2^n bits
-# for the (mask, j') lanes of its containment scan.  Refuse larger n by default.
+# Two-step prediction still builds every mask's verdict in Python; explain
+# reads the record in array passes and renders one mask at a time.  The gate
+# engine holds C2, H2, A2 and its sweep register as 4 * m^2 + 1 rows of 2^n
+# bits each, plus about 4n + 5 words of m * 2^n bits for the (mask, j')
+# lanes of its containment scan.  Refuse larger n by default.
 DEFAULT_N_CAP = 24
 
 WORKED_EXAMPLE_GIVEN: FeatureVector = ("o", "m", "a")
@@ -314,6 +315,17 @@ def iter_masks(n: int) -> Iterator[Bits]:
             for i in positions:
                 bits[i] = 1
             yield tuple(bits)
+
+
+def mask_ints(n: int) -> np.ndarray:
+    """The masks of :func:`iter_masks`, in its order, as :func:`bits_to_int` packs them.
+
+    Per selected count, most first, the values of that count in descending
+    order; no mask tuple is built, and the ints take the narrowest unsigned type.
+    """
+    values = np.arange((1 << n) - 1, -1, -1, dtype=np.min_scalar_type((1 << n) - 1))
+    counts = np.bitwise_count(values)
+    return np.concatenate([values[counts == c] for c in range(n, -1, -1)])
 
 
 def mask_at(n: int, index: int) -> Bits:

@@ -36,9 +36,10 @@ their gates commute and run at once: ``H2 ^= C2 & P2``, ``H2 ^= ALL`` and
 ``A2 ^= C2 & F(m^2)``.  The sweep is a chain, step k applying F(k) ^=
 H(k-1) AND F(k-1) for k = 1..m^2.  Forward, F(1..m^2) start at their
 preset 0, so it leaves the prefix AND F(k) = F(0) AND H(0) AND ... AND
-H(k-1), one ``np.bitwise_and.accumulate``.  The inverse runs k from m^2
-down to 1, and step k reads F(k-1), which the loop writes only after
-step k: every step reads F as the inverse found it, so it is one
+H(k-1), one ``np.bitwise_and.accumulate``, over 64-bit words where a
+block is whole words (n >= 6).  The inverse runs k from m^2 down to 1,
+and step k reads F(k-1), which the loop writes only after step k: every
+step reads F as the inverse found it, so it is one
 ``F[1:] ^= H & F[:-1]``.  The restoration check ORs F's blocks.
 
 Two more loops run as lanes the same way.  The m^2 comparators behind V2
@@ -108,6 +109,7 @@ from .core import (
     check_lattice_size,
     encode,
     iter_masks,
+    mask_ints,
 )
 from .homogeneity import AnalogicalSet, _LatticeVerdicts
 
@@ -675,7 +677,11 @@ def _sweep(h: _Blocks, f: _Blocks, trace: GateTrace | None, inverse: bool = Fals
         flip = (h.rows & f.rows[:-1])[::-1]
         _xor_gates("ccnot", operands, f.rows[:0:-1], flip, range(len(h.rows), 0, -1), trace)
     else:
-        flip = np.bitwise_and.accumulate(h.rows, axis=0) & f.rows[0]
+        # the prefix AND runs on 64-bit words where a block is whole words (n >= 6)
+        rows, first = h.rows, f.rows[0]
+        if rows.shape[1] % 8 == 0:
+            rows, first = rows.view(np.uint64), first.view(np.uint64)
+        flip = (np.bitwise_and.accumulate(rows, axis=0) & first).view(np.uint8)
         _xor_gates("ccnot", operands, f.rows[1:], flip, range(1, len(f.rows)), trace)
 
 
@@ -869,7 +875,7 @@ def _lattice_lanes(n: int) -> tuple[tuple[Bits, ...], tuple[int, ...], np.ndarra
     Shared by every run over n features, so the array is read-only.
     """
     masks = tuple(iter_masks(n))
-    lane_of = np.argsort(np.array(masks) @ (1 << np.arange(n - 1, -1, -1)))
+    lane_of = np.argsort(mask_ints(n))
     lane_of.flags.writeable = False
     return masks, tuple(_pack_lanes(masks)), lane_of
 

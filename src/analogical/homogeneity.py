@@ -9,11 +9,12 @@ pointers (self-pointers included) to the prediction.
 
 Four criteria decide homogeneity: the pointer scan itself, the
 subcontext/outcome plurality rule, the determinism rule (the plurality
-rule by De Morgan), and disagreement-count comparison.  They share one
-member summary, the members' subcontext keys and outcomes (the pointer
-scan reads the pointer heterogeneity matrix instead), but stay four
+rule by De Morgan), and disagreement-count comparison.  They stay four
 separate rules so they can be cross-checked; they agree on every
-supracontext.
+supracontext.  The public ``is_homogeneous_*`` calls are the per-mask
+oracles, each reading one supracontext's members.  The ``explain`` report
+evaluates the same four rules over all masks at once, from the lattice
+record and the pointer heterogeneity matrix.
 
 Probabilities are exact rationals: the prediction for the bundled
 six-exemplar dataset is exactly {y: 4/13, x: 9/13}, never a float
@@ -44,6 +45,7 @@ from .core import (
     encode,
     iter_masks,
     mask_at,
+    mask_ints,
 )
 
 
@@ -137,17 +139,21 @@ def is_homogeneous_pointer(ds: Dataset, given: Sequence[str], mask: Sequence[int
     first heterogeneous pointer (the gate engine may not).
     """
     members = contained_exemplars(ds, given, mask)
-    return _pointer_rule(members, pointer_heterogeneity_matrix(ds, given))
+    p2 = pointer_heterogeneity_matrix(ds, given)
+    return not any(p2[j - 1, jp - 1] for j, jp in combinations(members, 2))
 
 
 def is_homogeneous_plurality(ds: Dataset, given: Sequence[str], mask: Sequence[int]) -> bool:
     """Heterogeneous iff members span several subcontexts AND several outcomes."""
-    return _plurality_rule(*_member_summary(ds, given, mask))
+    keys, outcomes = _member_summary(ds, given, mask)
+    return not (len(set(keys)) >= 2 and len(set(outcomes)) >= 2)
 
 
 def is_homogeneous_determinism(ds: Dataset, given: Sequence[str], mask: Sequence[int]) -> bool:
     """Homogeneous iff one outcome throughout, or one subcontext throughout."""
-    return _determinism_rule(*_member_summary(ds, given, mask))
+    # the plurality rule negated by De Morgan: it reads the same two sets
+    keys, outcomes = _member_summary(ds, given, mask)
+    return len(set(outcomes)) <= 1 or len(set(keys)) <= 1
 
 
 def is_homogeneous_disagreement(ds: Dataset, given: Sequence[str], mask: Sequence[int]) -> bool:
@@ -157,31 +163,7 @@ def is_homogeneous_disagreement(ds: Dataset, given: Sequence[str], mask: Sequenc
     supracontext and once restricted to pairs sharing a subcontext; equal
     counts mean homogeneous.
     """
-    return _disagreement_rule(*_member_summary(ds, given, mask))
-
-
-def _member_summary(ds: Dataset, given: Sequence[str], mask: Sequence[int]):
-    """Subcontext keys and outcomes of the supracontext's members, aligned."""
-    members = [ds.exemplars[j - 1] for j in contained_exemplars(ds, given, mask)]
-    keys = [difference_vector(e.context, given) for e in members]
-    return keys, [e.outcome for e in members]
-
-
-def _pointer_rule(members: Sequence[int], p2: np.ndarray) -> bool:
-    return not any(p2[j - 1, jp - 1] for j, jp in combinations(members, 2))
-
-
-def _plurality_rule(keys: Sequence, outcomes: Sequence[str]) -> bool:
-    return not (len(set(keys)) >= 2 and len(set(outcomes)) >= 2)
-
-
-def _determinism_rule(keys: Sequence, outcomes: Sequence[str]) -> bool:
-    # the plurality rule negated by De Morgan: it reads the same two sets
-    return len(set(outcomes)) <= 1 or len(set(keys)) <= 1
-
-
-def _disagreement_rule(keys: Sequence, outcomes: Sequence[str]) -> bool:
-    info = list(zip(keys, outcomes))
+    info = list(zip(*_member_summary(ds, given, mask)))
     d_supra = sum(1 for (_, o1), (_, o2) in product(info, info) if o1 != o2)
     d_sub = sum(
         1 for (k1, o1), (k2, o2) in product(info, info) if k1 == k2 and o1 != o2
@@ -189,21 +171,11 @@ def _disagreement_rule(keys: Sequence, outcomes: Sequence[str]) -> bool:
     return d_supra == d_sub
 
 
-def criteria_verdicts(
-    members: Sequence[int], keys: Sequence, outcomes: Sequence[str], p2: np.ndarray
-) -> dict[str, bool]:
-    """The four criteria's verdicts on one supracontext, in the paper's order.
-
-    ``keys`` and ``outcomes`` are aligned with ``members``; ``p2`` is the
-    pointer heterogeneity matrix.  Unlike the ``is_homogeneous_*`` calls,
-    this lets a caller build the summary and P2 once per given context.
-    """
-    return {
-        "pointer": _pointer_rule(members, p2),
-        "plurality": _plurality_rule(keys, outcomes),
-        "determinism": _determinism_rule(keys, outcomes),
-        "disagreement": _disagreement_rule(keys, outcomes),
-    }
+def _member_summary(ds: Dataset, given: Sequence[str], mask: Sequence[int]):
+    """Subcontext keys and outcomes of the supracontext's members, aligned."""
+    members = [ds.exemplars[j - 1] for j in contained_exemplars(ds, given, mask)]
+    keys = [difference_vector(e.context, given) for e in members]
+    return keys, [e.outcome for e in members]
 
 
 def analogical_set(
@@ -330,6 +302,90 @@ class _LatticeVerdicts(Sequence):
             homogeneous=bool(self.homogeneous[mask_int]),
             m=self.ds.m,
         )
+
+
+_PASS_CELLS = 1 << 13  # (mask, exemplar) cells per pass over a chunk of masks
+
+
+class _ExplainLattice:
+    """Every mask's members and four verdicts, for ``explain``, from the lattice record and P2.
+
+    Exemplars sharing a difference vector form a subcontext, numbered in
+    order of its first member.  Each criterion keeps its own rule, evaluated
+    over all masks in array passes, with N_o members of outcome o, and n_s
+    members in subcontext s, n_so of them of outcome o:
+
+    * pointer: no member pair is set in P2.  A pair lies in a mask when the
+      OR of its difference vectors does, so an OR subset-sum over the ORs of
+      P2's pairs marks each mask that holds one;
+    * plurality: not (two or more subcontexts and two or more outcomes);
+    * determinism: one outcome, or at most one subcontext;
+    * disagreement: k^2 - sum_o N_o^2 = sum_s (n_s^2 - sum_o n_so^2).
+
+    Iterating yields, per mask in :func:`iter_masks` order: its bit string,
+    its member and subcontext flags as bytes, its member count, the record's
+    flag, the verdicts as a 4-bit code in the order above (pointer highest),
+    and, when the flag is clear, its offending pairs (a, b) in
+    :func:`itertools.combinations` order, as rows (a - 1, m + b - 1) that
+    index a list of m pieces for first members, then m for second members.
+    """
+
+    def __init__(self, ds: Dataset, given: Sequence[str], record: _LatticeVerdicts) -> None:
+        self.m, self.n, self.homogeneous = ds.m, ds.n, record.homogeneous
+        d, outcomes = record.d, encode(ds, given)[1]
+        groups: dict[int, list[int]] = {}
+        for j, v in enumerate(d.tolist(), 1):
+            groups.setdefault(v, []).append(j)
+        self.keys, self.groups = [format(v, f"0{ds.n}b") for v in groups], list(groups.values())
+        # vectors and pair ORs in the masks' own narrow type, so an AND makes no wider array
+        narrow = np.min_scalar_type((1 << ds.n) - 1)
+        self.vectors = np.array(list(groups), dtype=narrow)
+        number = {v: s for s, v in enumerate(groups)}
+        self.sub = np.array([number[v] for v in d.tolist()])  # each exemplar's subcontext
+        kinds = len(ds.outcome_order)
+        n_so = np.bincount(self.sub * kinds + outcomes, minlength=len(groups) * kinds)
+        n_so = n_so.reshape(-1, kinds)
+        self.within = n_so.sum(axis=1) ** 2 - (n_so**2).sum(axis=1)
+        # each exemplar's subcontext, exemplars grouped by outcome: N_o sums one run
+        by_outcome = np.argsort(outcomes, kind="stable")
+        self.sub_by_outcome = self.sub[by_outcome]
+        self.outcome_starts = np.searchsorted(outcomes[by_outcome], np.arange(kinds))
+
+        a, b = np.triu(pointer_heterogeneity_matrix(ds, given), 1).nonzero()
+        self.pairs = np.column_stack((a, b + ds.m)).astype(np.min_scalar_type(2 * ds.m))
+        self.unions = (d[a] | d[b]).astype(narrow)
+        held = np.zeros((1, 1 << ds.n), bool)  # by c = NOT mask; a sum of bools is their OR
+        held[0, self.unions] = True
+        _zeta(held, range(ds.n))
+        self.pointer = ~held[0, ::-1]  # by mask int
+
+    def __iter__(self) -> Iterator[tuple]:
+        m, width, order = self.m, len(self.vectors), mask_ints(self.n)
+        step = max(1, _PASS_CELLS // m)
+        for start in range(0, len(order), step):
+            masks = order[start:start + step]
+            inside = (self.vectors & masks[:, None]) == 0  # subcontexts in each mask
+            by_outcome = inside[:, self.sub_by_outcome]
+            per_outcome = np.add.reduceat(by_outcome, self.outcome_starts, axis=1, dtype=np.intp)
+            k = per_outcome.sum(axis=1)
+            subcontexts, outcomes = inside.sum(axis=1), np.count_nonzero(per_outcome, axis=1)
+            plurality = ~((subcontexts >= 2) & (outcomes >= 2))
+            determinism = (outcomes <= 1) | (subcontexts <= 1)
+            supra = k * k - (per_outcome**2).sum(axis=1)
+            disagreement = supra == np.einsum("ij,j->i", inside, self.within)
+            codes = 8 * self.pointer[masks] + 4 * plurality + 2 * determinism + disagreement
+            member_flags, sub_flags = inside[:, self.sub].tobytes(), inside.tobytes()
+            rows = zip(masks.tolist(), k.tolist(), self.homogeneous[masks].tolist(), codes.tolist())
+            for i, (mask, count, homogeneous, code) in enumerate(rows):
+                yield (
+                    format(mask, f"0{self.n}b"),
+                    member_flags[i * m:(i + 1) * m],
+                    sub_flags[i * width:(i + 1) * width],
+                    count,
+                    homogeneous,
+                    code,
+                    None if homogeneous else self.pairs.compress((self.unions & mask) == 0, axis=0),
+                )
 
 
 def predict_distribution(aset: AnalogicalSet) -> OutcomeDistribution:

@@ -46,7 +46,9 @@ def _validated(probabilities: dict) -> dict:
             raise InvalidDistributionError(f"probability for {label!r} is outside [0, 1]")
     total = sum(probabilities.values())
     if not abs(total - 1) <= tolerance:
-        raise InvalidDistributionError(f"probabilities sum to {float(total)!r}, not 1")
+        # an exact sum can round to 1.0 as a float; say which side of 1 it lies on
+        said = ("more" if total > 1 else "less") + " than 1" if exact else f"{float(total)!r}, not 1"
+        raise InvalidDistributionError(f"probabilities sum to {said}")
     return probabilities
 
 

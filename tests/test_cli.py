@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import analogical.cli as cli
+import analogical.homogeneity as homogeneity
 from analogical import (
     Dataset,
     GateTrace,
@@ -142,6 +143,20 @@ def test_explain_engine_gates_matches_fast(worked_path, capsys):
         assert code == 0
         reports.append(out)
     assert reports[0] == reports[1]
+
+
+def test_explain_builds_no_per_mask_verdict(worked_path, capsys, monkeypatch):
+    def refuse(self, mask):
+        raise AssertionError("explain built a per-mask verdict")
+
+    monkeypatch.setattr(homogeneity._LatticeVerdicts, "_verdict", refuse)
+    for engine in ("fast", "gates"):
+        for fmt in ("text", "json"):
+            code, out, _ = run_cli(
+                capsys, "explain", "--dataset", worked_path, "--given", "o m a",
+                "--engine", engine, "--format", fmt,
+            )
+            assert code == 0 and "110" in out, (engine, fmt)
 
 
 # --- gates ----------------------------------------------------------------------
@@ -326,6 +341,16 @@ def test_measures_malformed_pairs(capsys):
 def test_measures_bad_sum(capsys):
     code, _, err = run_cli(capsys, "measures", "y:0.5", "x:0.6")
     assert code == cli.EXIT_FORMAT
+
+
+def test_measures_exact_sum_error_says_which_side_of_1(capsys):
+    # the CLI reads every probability exactly; the first two sums round to 1.0 as floats
+    for argv, said in (
+        (["x:1e-400", "y:1"], "probabilities sum to more than 1"),
+        (["x:1/2", "y:4999999999999999999/10000000000000000000"], "probabilities sum to less than 1"),
+        (["y:0.5", "x:0.6"], "probabilities sum to more than 1"),
+    ):
+        assert run_cli(capsys, "measures", *argv) == (cli.EXIT_FORMAT, "", f"error: {said}\n"), argv
 
 
 def test_measures_exact_inputs_validated_exactly(capsys):

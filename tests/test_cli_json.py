@@ -1,10 +1,8 @@
-"""The CLI's JSON writer against ``json.dumps(indent=2)``, and the explain record's pair lists."""
+"""The CLI's JSON writer against ``json.dumps(indent=2)``."""
 
 import io
 import json
-import random
 from contextlib import redirect_stdout
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,8 +11,6 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 import analogical.cli as cli
-from analogical import pointer_heterogeneity_matrix
-from helpers import random_instance
 
 _ESCAPES = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "☃", " ", "\U0001d11e", "\ud800"]
 _text = st.text(alphabet=st.one_of(st.characters(), st.sampled_from(_ESCAPES)), max_size=8)
@@ -85,6 +81,10 @@ def test_writer_report_shapes():
     }
     report = {**expected, "masks": iter(masks), "empty": iter([])}
     assert _emitted(report) == json.dumps(expected, indent=2) + "\n"
+    # a list may also arrive as its items' text, rendered at the item indent
+    rendered = (cli._json(mask, "\n    ") for mask in masks)
+    report = {**expected, "masks": cli._Rendered(rendered), "empty": cli._Rendered([])}
+    assert _emitted(report) == json.dumps(expected, indent=2) + "\n"
     assert _emitted({}) == "{}\n"
 
 
@@ -103,17 +103,3 @@ def test_writer_rejects_non_str_keys():
     for obj in ({1: "a"}, {None: 1}, {(1, 2): 3}):
         with pytest.raises(TypeError):
             cli._json(obj, "\n")
-
-
-def test_offending_pairs_match_combinations():
-    rng = random.Random(13)
-    sizes = set()
-    for _ in range(60):
-        ds, given = random_instance(rng, max_m=10, max_n=4)
-        p2 = pointer_heterogeneity_matrix(ds, given)
-        for k in (0, 1, 2, rng.randint(0, ds.m)):
-            members = sorted(rng.sample(range(1, ds.m + 1), min(k, ds.m)))
-            sizes.add(len(members))
-            expected = [[a, b] for a, b in combinations(members, 2) if p2[a - 1, b - 1]]
-            assert cli._offending_pairs(members, p2) == expected
-    assert {0, 1, 2} <= sizes

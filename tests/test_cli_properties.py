@@ -5,7 +5,7 @@ import json
 import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 from hypothesis import given as hgiven
@@ -22,9 +22,9 @@ from analogical import (
     is_homogeneous_disagreement,
     is_homogeneous_plurality,
     is_homogeneous_pointer,
+    iter_masks,
     pointer_heterogeneity_matrix,
     serialize_dataset,
-    str_to_bits,
 )
 from helpers import random_instance
 
@@ -40,10 +40,10 @@ def call_main(argv):
 
 
 def _explain_instances():
-    """Random instances up to n=5, each with a duplicated exemplar, plus m=1."""
+    """Random instances up to n=6, each with a duplicated exemplar, plus m=1."""
     rng = random.Random(5)
     for _ in range(30):
-        ds, given = random_instance(rng, max_m=8, max_n=5)
+        ds, given = random_instance(rng, max_m=8, max_n=6)
         pairs = [(e.context, e.outcome) for e in ds.exemplars]
         yield Dataset.from_pairs(pairs + [rng.choice(pairs)]), given
         yield Dataset.from_pairs(pairs[:1]), given
@@ -51,7 +51,7 @@ def _explain_instances():
 
 def test_explain_records_match_oracles(tmp_path):
     path = tmp_path / "ds.tsv"
-    explained = 0
+    explained, sizes, offending_sizes = 0, set(), set()
     for ds, given in _explain_instances():
         path.write_text(serialize_dataset(ds), encoding="utf-8")
         argv = ["explain", "--dataset", str(path), "--given", " ".join(given)]
@@ -60,29 +60,45 @@ def test_explain_records_match_oracles(tmp_path):
             continue
         assert code == 0
         explained += 1
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
         p2 = pointer_heterogeneity_matrix(ds, given)
-        for entry in json.loads(out)["masks"]:
-            mask = str_to_bits(entry["mask"])
-            members = contained_exemplars(ds, given, mask)
-            assert entry["members"] == list(members)
-            assert entry["verdicts"] == {
-                "pointer": is_homogeneous_pointer(ds, given, mask),
-                "plurality": is_homogeneous_plurality(ds, given, mask),
-                "determinism": is_homogeneous_determinism(ds, given, mask),
-                "disagreement": is_homogeneous_disagreement(ds, given, mask),
-            }
-            assert entry["offending_pairs"] == [
-                [a, b] for a, b in combinations(members, 2) if p2[a - 1, b - 1]
-            ]
+        entries = json.loads(out)["masks"]
+        assert len(entries) == 2 ** ds.n
+        for entry, mask in zip(entries, iter_masks(ds.n)):
+            members = list(contained_exemplars(ds, given, mask))
+            homogeneous = is_homogeneous_pointer(ds, given, mask)
             groups = {}
             for j in members:
                 d = difference_vector(ds.exemplars[j - 1].context, given)
                 groups.setdefault(bits_to_str(d), []).append(j)
-            assert entry["subcontexts"] == groups
+            assert entry == {
+                "mask": bits_to_str(mask),
+                "members": members,
+                "member_outcomes": [ds.exemplars[j - 1].outcome for j in members],
+                "subcontexts": groups,
+                "homogeneous": homogeneous,
+                "verdicts": {
+                    "pointer": homogeneous,
+                    "plurality": is_homogeneous_plurality(ds, given, mask),
+                    "determinism": is_homogeneous_determinism(ds, given, mask),
+                    "disagreement": is_homogeneous_disagreement(ds, given, mask),
+                },
+                "pointer_count": len(members) ** 2 if homogeneous else 0,
+                "pointers": [list(p) for p in product(members, repeat=2)] if homogeneous else [],
+                "offending_pairs": [] if homogeneous else [
+                    [a, b] for a, b in combinations(members, 2) if p2[a - 1, b - 1]
+                ],
+            }
+            sizes.add(len(members))
+            if not homogeneous:
+                offending_sizes.add(len(members))
 
-        texts = {call_main(argv + ["--engine", engine]) for engine in ("fast", "gates")}
-        assert len(texts) == 1
+        for fmt in ("text", "json"):
+            outs = {call_main(argv + ["--format", fmt, "--engine", e]) for e in ("fast", "gates")}
+            assert len(outs) == 1
     assert explained >= 55
+    # masks of 0, 1 and 2 members, and offending pairs among exactly 2
+    assert {0, 1, 2} <= sizes and 2 in offending_sizes
 
 
 # --- fuzzed invocations --------------------------------------------------------------

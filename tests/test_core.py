@@ -32,7 +32,7 @@ from analogical import (
     serialize_dataset,
     str_to_bits,
 )
-from analogical.core import encode, mask_at
+from analogical.core import encode, mask_at, mask_ints
 from helpers import EXPECTED_D
 
 
@@ -341,6 +341,11 @@ def test_mask_at_matches_iter_masks(n):
     for bad in (-1, 2 ** n):
         with pytest.raises(IndexError):
             mask_at(n, bad)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_mask_ints_match_iter_masks(n):
+    assert mask_ints(n).tolist() == [bits_to_int(mask) for mask in iter_masks(n)]
 
 
 @hgiven(st.integers(min_value=1, max_value=16).flatmap(

@@ -575,10 +575,12 @@ def test_random_datasets_match_traced_runs_and_the_fast_engine(instance):
     assert to_analogical_set(untraced, ds).outcome_counts == analogical_set(ds, given).outcome_counts
 
 
-@pytest.mark.parametrize("n, m", [(1, 12), (2, 9), (3, 12), (5, 8), (6, 5), (7, 3)])
+@pytest.mark.parametrize("n, m", [(1, 12), (2, 9), (3, 12), (5, 8), (6, 5), (7, 3), (9, 4)])
 def test_blocks_keep_padding_lanes_clear(n, m):
     # L = 2^n lanes in blocks of B = ceil(L / 8) bytes: a partial byte for
-    # n = 1 and 2, one full byte for n = 3, and 4, 8 and 16 bytes for n = 5-7
+    # n = 1 and 2, one full byte for n = 3, and 4, 8, 16 and 64 bytes for
+    # n = 5-7 and 9.  From n = 6 the untraced forward sweep runs on 64-bit
+    # words, the traced one-lane windows (B = 1) on bytes
     rng = random.Random(100 * n + m)
     pairs = [(tuple(rng.choice("ab") for _ in range(n)), rng.choice("xyz")) for _ in range(m)]
     ds, given = Dataset.from_pairs(pairs), tuple(rng.choice("ab") for _ in range(n))
@@ -586,8 +588,8 @@ def test_blocks_keep_padding_lanes_clear(n, m):
     trace = _TallyTrace()
     one_by_one = _circuit_fields(run_qam_circuit(ds, given, trace=trace))
     steps = sum(trace.tally.values())
-    # untraced, and cut two fifths of the way in, inside mask 0, 1, 2, 12, 25 and 50
-    # for these n: the masks left then run as lanes from a lane inside a byte
+    # untraced, and cut two fifths of the way in, inside mask 0, 1, 2, 12, 25, 50 and
+    # 204 for these n: the masks left then run as lanes from a lane inside a byte
     cut = _CutTrace(max_steps=steps * 2 // 5)
     for run in (run_qam_circuit(ds, given), run_qam_circuit(ds, given, trace=cut)):
         assert _circuit_fields(run) == one_by_one

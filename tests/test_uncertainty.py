@@ -109,6 +109,18 @@ def test_exact_inputs_validated_exactly():
     assert agreement({"a": Fraction(1, 3), "b": 0, "c": Fraction(2, 3)}) == Fraction(5, 9)
 
 
+def test_exact_sum_error_says_which_side_of_1():
+    # float(1 + 10^-400) == 1.0, so an exact sum is not printed as a float
+    for probs, said in (
+        ({"x": Fraction("1e-400"), "y": 1}, "more than 1"),
+        ({"x": Fraction(1, 3), "y": Fraction(2, 3) - Fraction("1e-400")}, "less than 1"),
+    ):
+        with pytest.raises(InvalidDistributionError, match=f"^probabilities sum to {said}$"):
+            entropy(probs)
+    with pytest.raises(InvalidDistributionError, match=r"^probabilities sum to 1\.2, not 1$"):
+        entropy({"x": 0.6, "y": 0.6})
+
+
 def test_float_inputs_keep_tolerance():
     assert abs(entropy({"a": 0.1 + 0.2, "b": 0.7}) - entropy({"a": 0.3, "b": 0.7})) < 1e-12
     with pytest.raises(InvalidDistributionError):
