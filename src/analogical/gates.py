@@ -13,7 +13,7 @@ Each per-mask circuit applies the identical operator sequence from
 beginning to end: the homogeneity scan never exits early, because a
 heterogeneous supracontext must run the same gates as a homogeneous one.
 Since no gate depends on the data, all 2^n per-mask circuits run as one
-bit-sliced circuit, one mask per "lane", and each gate acts on all lanes
+bit-sliced circuit, mask int l in "lane" l, and each gate acts on all lanes
 at once.  The comparators' registers are Python ints holding one bit per
 lane: NOT is ``x ^= ALL``, CNOT ``t ^= c`` and Toffoli ``t ^= a & b``,
 where ALL = 2^L - 1 for L lanes.  C2, H2, A2 and the sweep register F are
@@ -79,9 +79,10 @@ its first item's, and a word cut from a register records that register's
 indices (``_Lanes.offset``), so every recorded step is the one the serial
 circuit applies.  Once the trace is truncated the items left run in one
 window as an untraced run would, and ``trace.tally`` counts each of their
-gates once per item, an array loop's m^2 gates in one step.  A traced
-run's mask windows need not start at a byte, so their outputs are joined
-lane by lane.  Results do not depend on the lane width.
+gates once per item, an array loop's m^2 gates in one step.  Only a run
+whose trace records when the masks start takes them in :func:`iter_masks`
+order, and its windows' outputs go to their masks' lanes; any other run
+takes every mask in one window.  Results do not depend on the lane width.
 
 Matrix registers are kept flat in row-major order: entry (j, j') of an
 m x m array lives at position k = (j - 1) * m + j', with j, j' and k
@@ -431,6 +432,17 @@ def _unpack_blocks(rows: np.ndarray, lanes: int) -> np.ndarray:
 def _bit_rows(values: np.ndarray, width: int) -> list[list[int]]:
     """Each value's ``width`` bits, most significant first, as :func:`int_to_bits` gives them."""
     return ((values[:, None] >> np.arange(width - 1, -1, -1)) & 1).tolist()
+
+
+def _s_words(ints: np.ndarray, n: int) -> list[int]:
+    """S over one lane per mask int of ``ints``: word i holds each mask's bit i, most significant first."""
+    return [_word(np.packbits(ints & (1 << (n - 1 - i)), bitorder="little")) for i in range(n)]
+
+
+@cache
+def _lattice_s_words(n: int) -> tuple[int, ...]:
+    """S over all 2^n masks, lane l running mask int l: n words of 2^n bits, built once per n."""
+    return tuple(_s_words(np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1)), n))
 
 
 def _tile(word: int, size: int, count: int) -> int:
@@ -793,27 +805,27 @@ class SupracontextCircuitResult:
 class CircuitRun:
     """Shared pair arrays plus every mask's circuit outputs as blocks of lanes.
 
-    Lane l belongs to ``masks[l]``.  C2, H2 and A2 are (m * m, B) uint8
+    Lane l belongs to mask int l.  C2, H2 and A2 are (m * m, B) uint8
     arrays, row k holding flat entry k's lanes in B = ceil(L / 8) bytes (see
     :class:`_Blocks`); the flag and not-restored blocks are one such row
-    each.  :attr:`results` unpacks them on first read.  A run is equal only
-    to itself, as its numpy fields have no truth value.
+    each.  :attr:`results` unpacks them on first read, in :func:`iter_masks`
+    order.  A run is equal only to itself: its numpy fields have no truth value.
     """
 
     d: np.ndarray  # :func:`encode`'s difference vectors, as loaded into D
     v2: np.ndarray
     w2: np.ndarray
     p2: np.ndarray
-    masks: tuple[Bits, ...]
+    n: int  # features; lane l runs the mask whose int is l
     c2_blocks: np.ndarray
     h2_blocks: np.ndarray
     a2_blocks: np.ndarray
-    flag_block: np.ndarray  # lane l set: mask l is homogeneous
-    not_restored_block: np.ndarray  # lane l set: an ancilla or flag of mask l missed its preset
+    flag_block: np.ndarray  # lane l set: mask int l is homogeneous
+    not_restored_block: np.ndarray  # lane l set: an ancilla or flag of mask int l missed its preset
 
     @cached_property
     def results(self) -> tuple[SupracontextCircuitResult, ...]:
-        lanes, m = len(self.masks), len(self.p2)
+        lanes, m = 1 << self.n, len(self.p2)
         c2s, h2s, a2s = (
             _unpack_blocks(b, lanes).T.reshape(lanes, m, m) for b in (self.c2_blocks, self.h2_blocks, self.a2_blocks)
         )
@@ -821,7 +833,7 @@ class CircuitRun:
         bad = _unpack_blocks(self.not_restored_block, lanes).tolist()
         return tuple([
             SupracontextCircuitResult(mask, c2s[lane], h2s[lane], bool(flags[lane]), a2s[lane], not bad[lane])
-            for lane, mask in enumerate(self.masks)
+            for mask, lane in zip(iter_masks(self.n), mask_ints(self.n).tolist())
         ])
 
 
@@ -868,18 +880,6 @@ def _supracontext_circuits(
     return out
 
 
-@cache
-def _lattice_lanes(n: int) -> tuple[tuple[Bits, ...], tuple[int, ...], np.ndarray]:
-    """Masks in :func:`iter_masks` order, one lane each; S over all of them; the lane of each mask int.
-
-    Shared by every run over n features, so the array is read-only.
-    """
-    masks = tuple(iter_masks(n))
-    lane_of = np.argsort(mask_ints(n))
-    lane_of.flags.writeable = False
-    return masks, tuple(_pack_lanes(masks)), lane_of
-
-
 def run_qam_circuit(
     ds: Dataset,
     given: Sequence[str],
@@ -890,11 +890,11 @@ def run_qam_circuit(
     """Run the full gate pipeline over all 2^n supracontexts.
 
     Builds V2 and W2 once over m^2 pair lanes and P2 = V2 AND W2 entrywise,
-    then runs the per-mask circuit on all masks at once, one lane each.  With a ``trace`` the pairs
-    and the masks run in windows of one item of the same code, masks in
-    :func:`iter_masks` order, so the trace records every gate on plain bits,
-    until it is truncated: the items left then run as lanes with no trace,
-    and ``trace.tally`` adds their gates.
+    then runs the per-mask circuit on all masks at once, lane l running mask
+    int l.  With a ``trace`` the pairs and the masks run in windows of one
+    item of the same code, masks in :func:`iter_masks` order, so the trace
+    records every gate on plain bits, until it is truncated: the items left
+    then run as one window with no trace, and ``trace.tally`` adds theirs.
     """
     check_lattice_size(ds.n, n_cap)
     m = ds.m
@@ -916,34 +916,37 @@ def run_qam_circuit(
     _pair_array(o_regs, w2_reg, trace)
     _and_entries(v2_reg, w2_reg, p2_reg, trace)
 
-    masks, s_words, _ = _lattice_lanes(ds.n)
+    lanes = 1 << ds.n
+    order = None if trace is None or trace.truncated else mask_ints(ds.n)
     parts = []
 
     def run_masks(start: int, stop: int, trace: GateTrace | None) -> None:
-        ones = (1 << (stop - start)) - 1
-        s_window = [(w >> start) & ones for w in s_words]
-        pfx = f"m{bits_to_str(masks[start])}."  # a window's registers are named after its first mask
-        parts.append((stop - start, _supracontext_circuits(pfx, s_window, ones, d_regs, p2_reg, trace)))
+        ones, first = (1 << (stop - start)) - 1, start if order is None else int(order[start])
+        s_words = _lattice_s_words(ds.n) if order is None else _s_words(order[start:stop], ds.n)
+        pfx = f"m{first:0{ds.n}b}."  # a window's registers are named after its first mask
+        parts.append((stop - start, _supracontext_circuits(pfx, s_words, ones, d_regs, p2_reg, trace)))
 
-    _run_items(len(masks), run_masks, trace)
+    _run_items(lanes, run_masks, trace)
     blocks = parts[0][1]
-    if len(parts) > 1:  # a traced run's windows start at lanes that need not begin a byte
-        blocks = np.packbits(np.hstack([_unpack_blocks(p, lanes) for lanes, p in parts]), axis=1, bitorder="little")
+    if order is not None:  # the windows ran in iter_masks order: their lanes go to the masks'
+        bits = np.empty((len(blocks), lanes), np.uint8)
+        bits[:, order] = np.hstack([_unpack_blocks(out, count) for count, out in parts])
+        blocks = np.packbits(bits, axis=1, bitorder="little")
     v2, w2, p2 = (reg.rows.reshape(m, m) for reg in (v2_reg, w2_reg, p2_reg))
     m2 = m * m
-    return CircuitRun(d_ints, v2, w2, p2, masks, blocks[:m2], blocks[m2:2 * m2], blocks[2 * m2:3 * m2], *blocks[-2:])
+    return CircuitRun(d_ints, v2, w2, p2, ds.n, blocks[:m2], blocks[m2:2 * m2], blocks[2 * m2:3 * m2], *blocks[-2:])
 
 
 def to_analogical_set(run: CircuitRun, ds: Dataset) -> AnalogicalSet:
     """Read the circuit's blocks back into the pointer-counting vocabulary.
 
     Outcome o's pointer count is the number of set lanes in the A2 blocks of
-    the columns j' with outcome o.  The lattice record takes the flag block
-    and the lane counts of the C2 diagonal blocks (each mask's k) in mask
-    order.  Raises ``ValueError`` when ``run`` was not made from a dataset
-    of the same shape.
+    the columns j' with outcome o.  Lane l is mask int l, so the lattice
+    record takes the flag block and the lane counts of the C2 diagonal
+    blocks (each mask's k) as they are.  Raises ``ValueError`` when ``run``
+    was not made from a dataset of the same shape.
     """
-    m, n = len(run.p2), len(run.masks[0])
+    m, n = len(run.p2), run.n
     if (m, n) != (ds.m, ds.n):
         raise ValueError(
             f"circuit run is for {m} exemplars and {n} features, dataset has {ds.m} and {ds.n}"
@@ -953,11 +956,10 @@ def to_analogical_set(run: CircuitRun, ds: Dataset) -> AnalogicalSet:
     # float64 sums are exact here: a total past 2^53 needs more blocks than memory holds
     per_outcome = np.bincount(ds._codes.outcomes, columns, len(ds.outcome_order))
     counts = dict(zip(ds.outcome_order, per_outcome.astype(np.int64).tolist()))
-    _, _, lane_of = _lattice_lanes(n)
-    homogeneous = _unpack_blocks(run.flag_block, len(lane_of))[lane_of] == 1
-    k = _unpack_blocks(run.c2_blocks[:: m + 1], len(lane_of)).sum(axis=0, dtype=np.min_scalar_type(m))
+    homogeneous = _unpack_blocks(run.flag_block, 1 << n) == 1
+    k = _unpack_blocks(run.c2_blocks[:: m + 1], 1 << n).sum(axis=0, dtype=np.min_scalar_type(m))
     return AnalogicalSet(
-        verdicts=_LatticeVerdicts(ds, run.d, homogeneous, k[lane_of]),
+        verdicts=_LatticeVerdicts(ds, run.d, homogeneous, k),
         outcome_counts=counts,
         total_pointers=sum(counts.values()),
     )

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from analogical import (
     Dataset,
     GateTrace,
     analogical_set,
+    bits_to_int,
     bits_to_str,
     build_analogy_array,
     build_containment_array,
@@ -30,12 +32,14 @@ from analogical import (
     gate_ones,
     gate_ones_inverse,
     int_to_bits,
+    iter_masks,
     load_worked_example,
     predict_distribution,
     run_qam_circuit,
     to_analogical_set,
 )
 from analogical import gates
+from analogical.core import mask_at
 from analogical.gates import _Blocks, _containment_scan, _Lanes
 from helpers import (
     EXPECTED_A2_ONES,
@@ -393,9 +397,9 @@ def test_truncated_trace_stops_recording_at_the_cut(worked):
     pair_trace = GateTrace()
     gate_identity((0,) * ds.n, (1,) * ds.n, trace=pair_trace)
     full = GateTrace()
-    masks = run_qam_circuit(ds, given, trace=full).masks
+    run_qam_circuit(ds, given, trace=full)
     pair_gates = len(pair_trace.steps)
-    pair_stage = next(i for i, s in enumerate(full.steps) if s.operands[0][0] == f"m{bits_to_str(masks[0])}.S")
+    pair_stage = next(i for i, s in enumerate(full.steps) if s.operands[0][0] == f"m{bits_to_str(mask_at(ds.n, 0))}.S")
     mask_gates = (len(full.steps) - pair_stage) // 2 ** ds.n
     cut = _CountingTrace(max_steps=10)
     run = run_qam_circuit(ds, given, trace=cut)
@@ -411,8 +415,8 @@ def test_truncated_trace_skips_the_array_loops_of_a_cut_mask(worked):
     gate_inclusion((0,) * ds.n, (1,) * ds.n, trace=comparator)
     gates_per_test = len(comparator.steps)
     full = GateTrace()
-    masks = run_qam_circuit(ds, given, trace=full).masks
-    scan = next(i for i, s in enumerate(full.steps) if s.operands[0][0] == f"m{bits_to_str(masks[0])}.S")
+    run_qam_circuit(ds, given, trace=full)
+    scan = next(i for i, s in enumerate(full.steps) if s.operands[0][0] == f"m{bits_to_str(mask_at(ds.n, 0))}.S")
     # one gate into the second Z test of item (1, 1): after Y, Z and the Toffoli
     cut_at = scan + 2 * gates_per_test + 2
     cut = _CountingTrace(max_steps=cut_at)
@@ -545,7 +549,7 @@ def test_rows_left_after_a_cut_in_the_scan_match_traced_mask_by_mask():
     for ds, given in _lane_instances():
         full = GateTrace(max_steps=10**7)
         one_by_one = run_qam_circuit(ds, given, trace=full)
-        pfx = f"m{bits_to_str(one_by_one.masks[0])}."
+        pfx = f"m{bits_to_str(mask_at(ds.n, 0))}."
         scan = next(i for i, s in enumerate(full.steps) if s.operands[0][0] == pfx + "S")
         row = (next(i for i, s in enumerate(full.steps) if s.operands[-1][0] == pfx + "H2") - scan) // ds.m
         # halfway through row 1, and in row 2's first Y test: the rows left
@@ -585,20 +589,57 @@ def test_blocks_keep_padding_lanes_clear(n, m):
     pairs = [(tuple(rng.choice("ab") for _ in range(n)), rng.choice("xyz")) for _ in range(m)]
     ds, given = Dataset.from_pairs(pairs), tuple(rng.choice("ab") for _ in range(n))
     lanes = 2 ** n
+    fast = analogical_set(ds, given)
     trace = _TallyTrace()
     one_by_one = _circuit_fields(run_qam_circuit(ds, given, trace=trace))
     steps = sum(trace.tally.values())
     # untraced, and cut two fifths of the way in, inside mask 0, 1, 2, 12, 25, 50 and
-    # 204 for these n: the masks left then run as lanes from a lane inside a byte
+    # 204 for these n: the masks left then run as lanes, one per mask int
     cut = _CutTrace(max_steps=steps * 2 // 5)
     for run in (run_qam_circuit(ds, given), run_qam_circuit(ds, given, trace=cut)):
         assert _circuit_fields(run) == one_by_one
         for blocks in (run.c2_blocks, run.h2_blocks, run.a2_blocks, run.flag_block, run.not_restored_block):
             assert blocks.shape[-1] == -(-lanes // 8)
             assert not np.unpackbits(blocks, axis=-1, bitorder="little")[..., lanes:].any()
+        # lane l is mask int l: the flags and the C2 diagonal's lane counts are the fast engine's record
+        flags = np.unpackbits(run.flag_block, count=lanes, bitorder="little")
+        c2 = np.unpackbits(run.c2_blocks, axis=-1, count=lanes, bitorder="little")
+        assert np.array_equal(flags == 1, fast.verdicts.homogeneous)
+        assert np.array_equal(c2[:: m + 1].sum(axis=0), fast.verdicts.k)
+        # results keep iter_masks order, each read from its mask's lane
+        assert [r.mask for r in run.results] == list(iter_masks(n))
+        for r in run.results:
+            lane = bits_to_int(r.mask)
+            assert r.homogeneous == flags[lane] and np.array_equal(r.c2.reshape(-1), c2[:, lane])
         # pointer counts are popcounts of whole A2 blocks
-        assert to_analogical_set(run, ds).outcome_counts == analogical_set(ds, given).outcome_counts
+        assert to_analogical_set(run, ds).outcome_counts == fast.outcome_counts
     assert cut.truncated and cut.tally == trace.tally
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_runs_build_no_mask_table(monkeypatch, cut):
+    # lane l runs mask int l, so neither the run nor its readback walks
+    # iter_masks or keeps a 2^n table of mask tuples (3.4 MB here); nor
+    # does a run whose trace is cut before the masks, as `gates --trace` makes
+    rng = random.Random(14)
+    n = 14
+    ds = Dataset.from_pairs([(tuple(rng.choice("ab") for _ in range(n)), o) for o in "xy"])
+    given = tuple(rng.choice("ab") for _ in range(n))
+    expected = predict_distribution(analogical_set(ds, given))  # also builds the dataset's codes
+
+    def refuse(n):
+        raise AssertionError("iter_masks called")
+
+    monkeypatch.setattr(gates, "iter_masks", refuse)
+    trace = GateTrace(max_steps=0) if cut else None
+    tracemalloc.start()
+    try:
+        dist = predict_distribution(to_analogical_set(run_qam_circuit(ds, given, trace=trace), ds))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist == expected
+    assert peak < 1 << 20
 
 
 def test_lanes_restore_every_ancilla():
