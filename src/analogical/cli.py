@@ -27,7 +27,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cache
-from itertools import chain, compress, product, repeat, starmap
+from itertools import chain, compress, product, repeat
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ from .core import (
     DatasetFormatError,
     FeatureVector,
     LatticeSizeError,
-    bits_to_str,
     load_dataset,
 )
 from .gates import GateTrace, run_qam_circuit, to_analogical_set
@@ -102,15 +101,13 @@ def _emit(text: str) -> None:
 _json_str = json.encoder.encode_basestring_ascii  # raises TypeError on a non-str key
 _INT = frozenset({int})
 _STR = frozenset({str})
-_SEQUENCE = frozenset({list, tuple})
 
 
 def _json(obj, nl: str) -> str:
     """``obj`` as ``json.dumps(obj, indent=2)`` renders it at newline-and-indent ``nl``.
 
-    A list of strings, of exact ints, or of equal-length lists of exact ints
-    (matrix rows, index pairs) renders with one join and no Python call per
-    item.  Any type the json module cannot encode raises TypeError.
+    A list of strings or of exact ints renders with one join and no Python
+    call per item.  Any type the json module cannot encode raises TypeError.
     """
     if isinstance(obj, str):
         return _json_str(obj)
@@ -123,14 +120,6 @@ def _json(obj, nl: str) -> str:
             body = map(str, obj)
         elif kinds == _STR:
             body = map(_json_str, obj)
-        elif (
-            kinds <= _SEQUENCE
-            and len(widths := {*map(len, obj)}) == 1
-            and {*map(type, chain.from_iterable(obj))} == _INT
-        ):
-            deeper = inner + "  "
-            row = "[" + deeper + ("," + deeper).join(["{}"] * widths.pop()) + inner + "]"
-            body = starmap(row.format, obj)
         else:
             body = [_json(item, inner) for item in obj]
         return "[" + inner + ("," + inner).join(body) + nl + "]"
@@ -163,24 +152,19 @@ class _Rendered:
 def _emit_json(report: dict) -> None:
     """Write ``json.dumps(report, indent=2)`` and a newline, one chunk at a time.
 
-    A top-level value that is an iterator, or :class:`_Rendered`, is written
-    as a list, one item at a time, so its items are built, rendered and
-    dropped one by one.
+    A top-level :class:`_Rendered` value is written as a list, one item at a
+    time, so its items are built, rendered and dropped one by one.
     """
     write = sys.stdout.write
     sep = "{\n  "
     for key, value in report.items():
         write(sep + _json_str(key) + ": ")
         sep = ",\n  "
-        if isinstance(value, _Rendered):
-            items = value.items
-        elif isinstance(value, Iterator):
-            items = map(_json, value, repeat("\n    "))
-        else:
+        if not isinstance(value, _Rendered):
             write(_json(value, "\n  "))
             continue
         opener = "["
-        for item in items:
+        for item in value.items:
             write(opener + "\n    " + item)
             opener = ","
         write("[]" if opener == "[" else "\n  ]")
@@ -202,12 +186,24 @@ def _probabilities_json(dist: OutcomeDistribution) -> dict[str, str]:
     return {o: str(p) for o, p in dist.probabilities.items()}
 
 
-def _matrix_text(name: str, matrix: np.ndarray) -> str:
-    """``name:`` and then one line per row of a 0/1 matrix, entries separated by spaces."""
-    chars = np.full((len(matrix), 2 * matrix.shape[1]), ord(" "), np.uint8)
-    chars[:, ::2] = matrix + ord("0")
-    chars[:, -1] = ord("\n")
-    return f"{name}:\n" + chars.tobytes().decode("ascii")
+@cache
+def _matrix_template(m: int, nl: str | None) -> tuple[np.ndarray, np.ndarray]:
+    """An m x m zero matrix as ASCII bytes, and the offsets of its m * m digits.
+
+    With ``nl`` None it is one line per row, entries separated by spaces;
+    otherwise it is the matrix as :func:`_json` renders it at ``nl``.
+    """
+    text = ("0 " * (m - 1) + "0\n") * m if nl is None else _json([[0] * m] * m, nl)
+    chars = np.frombuffer(text.encode("ascii"), np.uint8)
+    return chars, np.flatnonzero(chars == ord("0"))
+
+
+def _matrix(matrix: np.ndarray, nl: str | None = None) -> str:
+    """A square 0/1 matrix rendered as its :func:`_matrix_template`, each entry added to its digit."""
+    template, digits = _matrix_template(len(matrix), nl)
+    chars = template.copy()
+    chars[digits] += matrix.reshape(-1)
+    return chars.tobytes().decode("ascii")
 
 
 # --- subcommands ------------------------------------------------------------
@@ -369,6 +365,13 @@ def cmd_gates(args: argparse.Namespace) -> int:
         kept, truncated = min(total, cap), total > cap
 
     if args.format == "json":
+        nl = "\n      "  # newline and indent of a key of an entry in the mask list
+        masks = (
+            f'{{{nl}"mask": "{lane:0{ds.n}b}",{nl}"c2": {_matrix(c2, nl)},{nl}"h2": {_matrix(h2, nl)},'
+            f'{nl}"flag": {int(flag)},{nl}"a2": {_matrix(a2, nl)},'
+            f'{nl}"ancillas_restored": {"true" if restored else "false"}\n    }}'
+            for lane, c2, h2, flag, a2, restored in run.lanes()
+        )
         obj = {
             "schema_version": 1,
             "command": "gates",
@@ -378,17 +381,7 @@ def cmd_gates(args: argparse.Namespace) -> int:
             "v2": run.v2.tolist(),
             "w2": run.w2.tolist(),
             "p2": run.p2.tolist(),
-            "masks": (
-                {
-                    "mask": bits_to_str(r.mask),
-                    "c2": r.c2.tolist(),
-                    "h2": r.h2.tolist(),
-                    "flag": int(r.homogeneous),
-                    "a2": r.a2.tolist(),
-                    "ancillas_restored": r.ancillas_restored,
-                }
-                for r in run.results
-            ),
+            "masks": _Rendered(masks),
             "total_pointers": aset.total_pointers,
         }
         if trace is not None:
@@ -398,13 +391,12 @@ def cmd_gates(args: argparse.Namespace) -> int:
 
     write = sys.stdout.write
     write(f"dataset: {ds.m} exemplars, {ds.n} features\ngiven: {' '.join(given)}\n")
-    write(_matrix_text("V2", run.v2) + _matrix_text("W2", run.w2) + _matrix_text("P2", run.p2))
-    for r in run.results:
-        status = "restored" if r.ancillas_restored else "NOT restored"
+    write(f"V2:\n{_matrix(run.v2)}W2:\n{_matrix(run.w2)}P2:\n{_matrix(run.p2)}")
+    for lane, c2, h2, flag, a2, restored in run.lanes():
         write(
-            f"\nmask {bits_to_str(r.mask)}: flag {int(r.homogeneous)} "
-            f"({'homogeneous' if r.homogeneous else 'heterogeneous'}), ancillas {status}\n"
-            + _matrix_text("C2", r.c2) + _matrix_text("H2", r.h2) + _matrix_text("A2", r.a2)
+            f"\nmask {lane:0{ds.n}b}: flag {int(flag)} ({'homogeneous' if flag else 'heterogeneous'}), "
+            f"ancillas {'restored' if restored else 'NOT restored'}\n"
+            f"C2:\n{_matrix(c2)}H2:\n{_matrix(h2)}A2:\n{_matrix(a2)}"
         )
     write(f"\ntotal pointers: {aset.total_pointers}\n")
     if trace is not None:

@@ -35,10 +35,10 @@ Bits = tuple[int, ...]
 # plus one transposed copy: 128 MiB at n = 24 with 3 outcomes and m <= 255.
 # Either engine's lattice record keeps 2^n * (1 + w) bytes, 32 MiB at n = 24.
 # Two-step prediction still builds every mask's verdict in Python; explain
-# reads the record in array passes and renders one mask at a time.  The gate
-# engine holds C2, H2, A2 and its sweep register as 4 * m^2 + 1 rows of 2^n
-# bits each, plus about 4n + 5 words of m * 2^n bits for the (mask, j')
-# lanes of its containment scan.  Refuse larger n by default.
+# reads the record in array passes.  The gate engine holds C2, H2, A2 and its
+# sweep register as 4 * m^2 + 1 rows of 2^n bits each, plus about 4n + 5
+# words of m * 2^n bits for the (mask, j') lanes of its containment scan.
+# Reports hold one mask at a time.  Refuse larger n by default.
 DEFAULT_N_CAP = 24
 
 WORKED_EXAMPLE_GIVEN: FeatureVector = ("o", "m", "a")

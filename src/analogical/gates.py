@@ -25,8 +25,8 @@ Registers shared by every mask (D, P2) are broadcast to 0 or ALL.  The
 gate sequence, and so every per-mask gate count, is the one a single mask
 would run.  The run keeps its outputs as blocks: pointer counts are
 popcounts of the A2 blocks, flags and member counts (the C2 diagonal) are
-read off them into the lattice record both engines share, and per-mask
-matrices are unpacked only when a caller asks for them.
+read off them into the lattice record both engines share, and a mask's
+matrices are read from its lane only when a caller asks for them.
 
 The loops over the m^2 entries after the containment scan are one numpy
 operation each.  H2 = C2 AND P2 (a Toffoli per entry), both negations of
@@ -109,7 +109,7 @@ from .core import (
     bits_to_str,
     check_lattice_size,
     encode,
-    iter_masks,
+    int_to_bits,
     mask_ints,
 )
 from .homogeneity import AnalogicalSet, _LatticeVerdicts
@@ -808,8 +808,9 @@ class CircuitRun:
     Lane l belongs to mask int l.  C2, H2 and A2 are (m * m, B) uint8
     arrays, row k holding flat entry k's lanes in B = ceil(L / 8) bytes (see
     :class:`_Blocks`); the flag and not-restored blocks are one such row
-    each.  :attr:`results` unpacks them on first read, in :func:`iter_masks`
-    order.  A run is equal only to itself: its numpy fields have no truth value.
+    each.  :meth:`lanes` reads them one mask at a time, in :func:`iter_masks`
+    order, and :attr:`results` keeps what it reads.  A run is equal only to
+    itself: its numpy fields have no truth value.
     """
 
     d: np.ndarray  # :func:`encode`'s difference vectors, as loaded into D
@@ -823,18 +824,21 @@ class CircuitRun:
     flag_block: np.ndarray  # lane l set: mask int l is homogeneous
     not_restored_block: np.ndarray  # lane l set: an ancilla or flag of mask int l missed its preset
 
+    def lanes(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, bool, np.ndarray, bool]]:
+        """Each mask in :func:`iter_masks` order, read off its lane in one step.
+
+        Yields its int, its m x m C2 and H2, its flag, its A2 and its restored bit.
+        """
+        m = len(self.p2)
+        rows = np.vstack((self.c2_blocks, self.h2_blocks, self.a2_blocks, self.flag_block, self.not_restored_block))
+        for lane in map(int, mask_ints(self.n)):
+            bits = (rows[:, lane >> 3] >> (lane & 7)) & 1
+            c2, h2, a2 = bits[:-2].reshape(3, m, m)
+            yield lane, c2, h2, bool(bits[-2]), a2, not bits[-1]
+
     @cached_property
     def results(self) -> tuple[SupracontextCircuitResult, ...]:
-        lanes, m = 1 << self.n, len(self.p2)
-        c2s, h2s, a2s = (
-            _unpack_blocks(b, lanes).T.reshape(lanes, m, m) for b in (self.c2_blocks, self.h2_blocks, self.a2_blocks)
-        )
-        flags = _unpack_blocks(self.flag_block, lanes).tolist()
-        bad = _unpack_blocks(self.not_restored_block, lanes).tolist()
-        return tuple([
-            SupracontextCircuitResult(mask, c2s[lane], h2s[lane], bool(flags[lane]), a2s[lane], not bad[lane])
-            for mask, lane in zip(iter_masks(self.n), mask_ints(self.n).tolist())
-        ])
+        return tuple([SupracontextCircuitResult(int_to_bits(lane, self.n), *out) for lane, *out in self.lanes()])
 
 
 def _supracontext_circuits(

@@ -2,13 +2,17 @@
 
 import codecs
 import json
+import os
 import random
+import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import analogical.cli as cli
+import analogical.gates as gates
 import analogical.homogeneity as homogeneity
 from analogical import (
     Dataset,
@@ -219,6 +223,34 @@ def test_gates_json(worked_path, capsys):
     assert report["total_pointers"] == 13
     assert report["trace_steps"] > 0
     assert report["trace_truncated"] is False
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_gates_report_unpacks_no_whole_register(tmp_path, monkeypatch, fmt):
+    # m=8, n=14: every mask's C2, H2 and A2 unpacked at once would take 3 MB
+    # of bits plus an array object per matrix; the report reads, renders and
+    # writes one mask at a time
+    rng = random.Random(8)
+    m, n = 8, 14
+    ds = Dataset.from_pairs([(tuple(rng.choice("ab") for _ in range(n)), rng.choice("xyz")) for _ in range(m)])
+    path = tmp_path / "ds.tsv"
+    path.write_text(serialize_dataset(ds), encoding="utf-8")
+    argv = ["gates", "--dataset", str(path), "--given", " ".join(rng.choice("ab") for _ in range(n)), "--format", fmt]
+    unpacked = []
+    unpack = gates._unpack_blocks
+    # each call's count of blocks: the flag block is one, a whole C2 m * m
+    record = lambda rows, lanes: unpacked.append(rows.size // rows.shape[-1]) or unpack(rows, lanes)
+    monkeypatch.setattr(gates, "_unpack_blocks", record)
+    with open(os.devnull, "w", encoding="ascii") as devnull, redirect_stdout(devnull):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert unpacked and max(unpacked) < m * m
+    assert peak < 4 << 20
 
 
 # --- sample ---------------------------------------------------------------------

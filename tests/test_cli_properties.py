@@ -16,6 +16,9 @@ import analogical.cli as cli
 from analogical import (
     Dataset,
     bits_to_str,
+    build_analogy_array,
+    build_containment_array,
+    build_heterogeneity_array,
     contained_exemplars,
     difference_vector,
     is_homogeneous_determinism,
@@ -99,6 +102,68 @@ def test_explain_records_match_oracles(tmp_path):
     assert explained >= 55
     # masks of 0, 1 and 2 members, and offending pairs among exactly 2
     assert {0, 1, 2} <= sizes and 2 in offending_sizes
+
+
+@st.composite
+def _gate_instances(draw):
+    """1 to 7 exemplars over 1 to 5 features, some of them duplicated, and a given context."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    context = st.lists(st.sampled_from("abc"), min_size=n, max_size=n).map(tuple)
+    pairs = draw(st.lists(st.tuples(context, st.sampled_from("xyz")), min_size=1, max_size=5))
+    copies = draw(st.lists(st.sampled_from(pairs), max_size=7 - len(pairs)))
+    return Dataset.from_pairs(draw(st.permutations(pairs + copies))), draw(context)
+
+
+def _text_blocks(out: str) -> list[tuple[str, dict]]:
+    """The blocks of a ``gates`` text report, the pair arrays' then each mask's: first line, matrices by name."""
+    blocks = out.split("\n\nmask ")
+    blocks[-1] = blocks[-1].split("\n\n")[0]
+    parsed = []
+    for block in blocks:
+        header, *lines = block.splitlines()
+        names = [i for i, line in enumerate(lines) if line.endswith(":")] + [len(lines)]
+        matrices = {
+            lines[i][:-1]: [[int(c) for c in row.split()] for row in lines[i + 1:j]] for i, j in zip(names, names[1:])
+        }
+        parsed.append((header, matrices))
+    return parsed
+
+
+@settings(max_examples=40, deadline=None)
+@hgiven(_gate_instances())
+def test_gates_report_matches_per_mask_builders(instance):
+    ds, given = instance
+    p2 = pointer_heterogeneity_matrix(ds, given)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.tsv"
+        path.write_text(serialize_dataset(ds), encoding="utf-8")
+        argv = ["gates", "--dataset", str(path), "--given", " ".join(given)]
+        for trace in ([], ["--trace"]):
+            code, out = call_main(argv + ["--format", "json"] + trace)
+            assert code == 0
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+            report = json.loads(out)
+            assert report["p2"] == p2.tolist() and len(report["masks"]) == 2 ** ds.n
+            for entry, mask in zip(report["masks"], iter_masks(ds.n)):
+                c2 = build_containment_array(ds, given, mask)
+                flag = is_homogeneous_pointer(ds, given, mask)
+                assert entry == {
+                    "mask": bits_to_str(mask),
+                    "c2": c2.tolist(),
+                    "h2": build_heterogeneity_array(c2, p2).tolist(),
+                    "flag": int(flag),
+                    "a2": build_analogy_array(c2, flag).tolist(),
+                    "ancillas_restored": True,
+                }
+            code, text = call_main(argv + ["--format", "text"] + trace)
+            assert code == 0
+            (_, pairs), *blocks = _text_blocks(text)
+            assert pairs == {"V2": report["v2"], "W2": report["w2"], "P2": report["p2"]}
+            assert len(blocks) == len(report["masks"])
+            for (header, matrices), entry in zip(blocks, report["masks"]):
+                verdict = "homogeneous" if entry["flag"] else "heterogeneous"
+                assert header == f"{entry['mask']}: flag {entry['flag']} ({verdict}), ancillas restored"
+                assert matrices == {"C2": entry["c2"], "H2": entry["h2"], "A2": entry["a2"]}
 
 
 # --- fuzzed invocations --------------------------------------------------------------

@@ -38,9 +38,9 @@ from analogical import (
     run_qam_circuit,
     to_analogical_set,
 )
-from analogical import gates
-from analogical.core import mask_at
-from analogical.gates import _Blocks, _containment_scan, _Lanes
+from analogical import core, gates, homogeneity
+from analogical.core import mask_at, mask_ints
+from analogical.gates import CircuitRun, _Blocks, _containment_scan, _Lanes
 from helpers import (
     EXPECTED_A2_ONES,
     EXPECTED_COUNTS,
@@ -471,9 +471,9 @@ def test_readback_unpacks_only_the_pair_arrays(worked, monkeypatch):
     # block and the m diagonal blocks of C2: no register is unpacked whole
     assert unpacked and max(unpacked) == ds.m
     unpacked.clear()
-    # the first read unpacks C2, H2 and A2 once each; a second read reuses them
+    # results read each mask from its lane, unpacking no register; a second read reuses them
     assert run.results is run.results
-    assert len(run.results) == 8 and unpacked.count(ds.m * ds.m) == 3
+    assert len(run.results) == 8 and max(unpacked, default=0) < ds.m * ds.m
 
 
 def test_runs_and_results_compare_by_identity(worked):
@@ -483,6 +483,24 @@ def test_runs_and_results_compare_by_identity(worked):
     assert (first.results[0] == first.results[0]) is True
     assert (first.results[0] == second.results[0]) is False
     assert len({first, second, *first.results, *second.results}) == 2 + 2 * len(first.results)
+
+
+def test_lanes_read_each_mask_from_its_own_lane():
+    # random blocks over 1024 lanes: every field a mask reads is its own lane's bit
+    m, n = 3, 10
+    bits = np.random.default_rng(3).integers(0, 2, (3 * m * m + 2, 1 << n), dtype=np.uint8)
+    blocks = np.packbits(bits, axis=1, bitorder="little")
+    pairs = np.zeros((m, m), np.uint8)
+    run = CircuitRun(np.zeros(m, np.int64), pairs, pairs, pairs, n, *np.split(blocks[:-2], 3), *blocks[-2:])
+    read = list(run.lanes())
+    assert [lane for lane, *_ in read] == mask_ints(n).tolist()
+    for (lane, c2, h2, flag, a2, restored), result in zip(read, run.results):
+        column = bits[:, lane]
+        assert np.array_equal(np.concatenate([c2, h2, a2]).reshape(-1), column[:-2])
+        assert c2.shape == (m, m) and (flag, restored) == (bool(column[-2]), not column[-1])
+        assert result.mask == int_to_bits(lane, n) and np.array_equal(result.a2, a2)
+        assert (result.homogeneous, result.ancillas_restored) == (flag, restored)
+    assert [r.mask for r in run.results] == list(iter_masks(n))
 
 
 # --- the lane engine -----------------------------------------------------------------
@@ -630,7 +648,8 @@ def test_runs_build_no_mask_table(monkeypatch, cut):
     def refuse(n):
         raise AssertionError("iter_masks called")
 
-    monkeypatch.setattr(gates, "iter_masks", refuse)
+    for module in (core, homogeneity):  # where it is defined, and the one module that imports it
+        monkeypatch.setattr(module, "iter_masks", refuse)
     trace = GateTrace(max_steps=0) if cut else None
     tracemalloc.start()
     try:
