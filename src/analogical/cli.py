@@ -15,8 +15,9 @@ carry ``"schema_version": 1`` and keep exact rationals as strings.
 
 Reports are streamed to stdout one mask block or record at a time; every
 error that maps to an exit code is raised before the first byte.  A JSON
-report is byte-identical to ``json.dumps(report, indent=2)`` plus a
-newline, with non-ASCII text as ``\\uXXXX`` escapes.
+report is ``json.dumps(report, indent=2)`` plus a newline, with its mask
+list streamed as pre-rendered entries and its 0/1 matrices rendered from
+templates.
 """
 
 from __future__ import annotations
@@ -92,83 +93,35 @@ def _build_set(args: argparse.Namespace, ds: Dataset, given: FeatureVector) -> A
     return analogical_set(ds, given, n_cap=args.n_cap)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
 # --- JSON writer ------------------------------------------------------------
 
-_json_str = json.encoder.encode_basestring_ascii  # raises TypeError on a non-str key
-_INT = frozenset({int})
-_STR = frozenset({str})
+def _emit_json(report: dict, /, **rendered: Iterable[str]) -> None:
+    """Write ``json.dumps(report, indent=2)`` and a newline.
 
-
-def _json(obj, nl: str) -> str:
-    """``obj`` as ``json.dumps(obj, indent=2)`` renders it at newline-and-indent ``nl``.
-
-    A list of strings or of exact ints renders with one join and no Python
-    call per item.  Any type the json module cannot encode raises TypeError.
+    ``report`` holds None at each key of ``rendered``, whose pieces of JSON
+    text, at the indent of a top-level value, are written in that null's
+    place one at a time.  A report that json cannot encode writes nothing.
     """
-    if isinstance(obj, str):
-        return _json_str(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = nl + "  "
-        kinds = {*map(type, obj)}
-        if kinds == _INT:
-            body = map(str, obj)
-        elif kinds == _STR:
-            body = map(_json_str, obj)
-        else:
-            body = [_json(item, inner) for item in obj]
-        return "[" + inner + ("," + inner).join(body) + nl + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = nl + "  "
-        items = [_json_str(k) + ": " + _json(v, inner) for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return json.dumps(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-class _Rendered:
-    """A list for :func:`_emit_json` whose items arrive as JSON text, at the items' indent."""
-
-    def __init__(self, items: Iterable[str]) -> None:
-        self.items = items
-
-
-def _emit_json(report: dict) -> None:
-    """Write ``json.dumps(report, indent=2)`` and a newline, one chunk at a time.
-
-    A top-level :class:`_Rendered` value is written as a list, one item at a
-    time, so its items are built, rendered and dropped one by one.
-    """
+    text = json.dumps(report, indent=2) + "\n"
     write = sys.stdout.write
-    sep = "{\n  "
-    for key, value in report.items():
-        write(sep + _json_str(key) + ": ")
-        sep = ",\n  "
-        if not isinstance(value, _Rendered):
-            write(_json(value, "\n  "))
-            continue
-        opener = "["
-        for item in value.items:
-            write(opener + "\n    " + item)
-            opener = ","
-        write("[]" if opener == "[" else "\n  ]")
-    write("{}\n" if sep == "{\n  " else "\n}\n")
+    for key in filter(rendered.__contains__, report):
+        # a JSON string holds no raw newline, so only the top-level key matches
+        head = f"\n  {json.dumps(key)}: "
+        done, _, text = text.partition(head + "null")
+        write(done + head)
+        for piece in rendered[key]:
+            write(piece)
+    write(text)
+
+
+def _streamed(entries: Iterable[str]) -> Iterator[str]:
+    """A top-level list's pieces for :func:`_emit_json`, each entry JSON text at the entry indent."""
+    sep = "[\n    "
+    for entry in entries:
+        yield sep
+        yield entry
+        sep = ",\n    "
+    yield "[]" if sep == "[\n    " else "\n  ]"
 
 
 # --- shared report pieces ---------------------------------------------------
@@ -191,9 +144,10 @@ def _matrix_template(m: int, nl: str | None) -> tuple[np.ndarray, np.ndarray]:
     """An m x m zero matrix as ASCII bytes, and the offsets of its m * m digits.
 
     With ``nl`` None it is one line per row, entries separated by spaces;
-    otherwise it is the matrix as :func:`_json` renders it at ``nl``.
+    otherwise it is ``json.dumps(indent=2)`` of the matrix, each newline
+    followed by the indent in ``nl``.
     """
-    text = ("0 " * (m - 1) + "0\n") * m if nl is None else _json([[0] * m] * m, nl)
+    text = ("0 " * (m - 1) + "0\n") * m if nl is None else json.dumps([[0] * m] * m, indent=2).replace("\n", nl)
     chars = np.frombuffer(text.encode("ascii"), np.uint8)
     return chars, np.flatnonzero(chars == ord("0"))
 
@@ -225,7 +179,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             }
         )
     else:
-        _emit(
+        print(
             "\n".join(
                 [
                     _distribution_line(dist, aset.total_pointers),
@@ -242,7 +196,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 _CRITERIA = ("pointer", "plurality", "determinism", "disagreement")
 # an entry's verdicts object, by the 4-bit code of the verdicts in _CRITERIA order
 _VERDICTS_JSON = [
-    _json(dict(zip(_CRITERIA, bits)), "\n      ") for bits in product((False, True), repeat=4)
+    json.dumps(dict(zip(_CRITERIA, bits)), indent=2).replace("\n", "\n      ")
+    for bits in product((False, True), repeat=4)
 ]
 _ITEM = "\n        "  # newline and indent of an item of a list in an explain entry
 _NEXT = "," + _ITEM
@@ -295,9 +250,11 @@ def _json_items(items: str, brackets: str = "[]") -> str:
 def _explain_json(lattice: _ExplainLattice, ds: Dataset) -> Iterator[str]:
     """Each mask's entry as ``json.dumps(indent=2)`` renders it in the report's mask list."""
     numbers = [f"{j}{_NEXT}" for j in range(1, ds.m + 1)]
-    outcomes = [_json_str(e.outcome) + _NEXT for e in ds.exemplars]
+    outcomes = [json.dumps(e.outcome) + _NEXT for e in ds.exemplars]
+    inner = _ITEM + "  "
     subcontexts = [
-        f'"{key}": {_json(js, _ITEM)}{_NEXT}' for key, js in zip(lattice.keys, lattice.groups)
+        f'"{key}": [{inner}{("," + inner).join(map(str, js))}{_ITEM}]{_NEXT}'
+        for key, js in zip(lattice.keys, lattice.groups)
     ]
     # a pair is its first number's piece then its second's
     firsts = [f"[{_ITEM}  {j},{_ITEM}  " for j in range(1, ds.m + 1)]
@@ -337,12 +294,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 "schema_version": 1,
                 "command": "explain",
                 "given": list(given),
-                "masks": _Rendered(_explain_json(lattice, ds)),
+                "masks": None,
                 "total_pointers": aset.total_pointers,
                 "pointer_counts": dict(aset.outcome_counts),
                 "probabilities": _probabilities_json(dist),
                 "most_likely": most_likely_outcome(dist),
-            }
+            },
+            masks=_streamed(_explain_json(lattice, ds)),
         )
         return EXIT_OK
 
@@ -378,15 +336,22 @@ def cmd_gates(args: argparse.Namespace) -> int:
             "given": list(given),
             "m": ds.m,
             "n": ds.n,
-            "v2": run.v2.tolist(),
-            "w2": run.w2.tolist(),
-            "p2": run.p2.tolist(),
-            "masks": _Rendered(masks),
+            "v2": None,
+            "w2": None,
+            "p2": None,
+            "masks": None,
             "total_pointers": aset.total_pointers,
         }
         if trace is not None:
             obj["trace_steps"], obj["trace_truncated"] = kept, truncated
-        _emit_json(obj)
+        top = "\n  "  # newline and indent of a top-level key
+        _emit_json(
+            obj,
+            v2=[_matrix(run.v2, top)],
+            w2=[_matrix(run.w2, top)],
+            p2=[_matrix(run.p2, top)],
+            masks=_streamed(masks),
+        )
         return EXIT_OK
 
     write = sys.stdout.write
@@ -419,7 +384,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             }
         )
     else:
-        _emit(outcome)
+        print(outcome)
     return EXIT_OK
 
 
@@ -482,7 +447,7 @@ def cmd_measures(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json(report)
     else:
-        _emit("\n".join(lines))
+        print("\n".join(lines))
     return EXIT_OK
 
 

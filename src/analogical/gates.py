@@ -805,12 +805,14 @@ class SupracontextCircuitResult:
 class CircuitRun:
     """Shared pair arrays plus every mask's circuit outputs as blocks of lanes.
 
-    Lane l belongs to mask int l.  C2, H2 and A2 are (m * m, B) uint8
-    arrays, row k holding flat entry k's lanes in B = ceil(L / 8) bytes (see
-    :class:`_Blocks`); the flag and not-restored blocks are one such row
-    each.  :meth:`lanes` reads them one mask at a time, in :func:`iter_masks`
-    order, and :attr:`results` keeps what it reads.  A run is equal only to
-    itself: its numpy fields have no truth value.
+    Lane l belongs to mask int l.  ``blocks`` is one (3 * m * m + 2, B)
+    uint8 array, row k holding its entry's lanes in B = ceil(L / 8) bytes
+    (see :class:`_Blocks`): the m * m rows of C2, then of H2, then of A2,
+    then the flag row (lane l set: mask int l is homogeneous) and the
+    not-restored row (lane l set: an ancilla or flag of mask int l missed
+    its preset).  :meth:`lanes` reads them one mask at a time, in
+    :func:`iter_masks` order, and :attr:`results` keeps what it reads.  A
+    run is equal only to itself: its numpy fields have no truth value.
     """
 
     d: np.ndarray  # :func:`encode`'s difference vectors, as loaded into D
@@ -818,21 +820,18 @@ class CircuitRun:
     w2: np.ndarray
     p2: np.ndarray
     n: int  # features; lane l runs the mask whose int is l
-    c2_blocks: np.ndarray
-    h2_blocks: np.ndarray
-    a2_blocks: np.ndarray
-    flag_block: np.ndarray  # lane l set: mask int l is homogeneous
-    not_restored_block: np.ndarray  # lane l set: an ancilla or flag of mask int l missed its preset
+    blocks: np.ndarray
 
     def lanes(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, bool, np.ndarray, bool]]:
         """Each mask in :func:`iter_masks` order, read off its lane in one step.
 
         Yields its int, its m x m C2 and H2, its flag, its A2 and its restored bit.
         """
-        m = len(self.p2)
-        rows = np.vstack((self.c2_blocks, self.h2_blocks, self.a2_blocks, self.flag_block, self.not_restored_block))
-        for lane in map(int, mask_ints(self.n)):
-            bits = (rows[:, lane >> 3] >> (lane & 7)) & 1
+        m, n = len(self.p2), self.n
+        # iter_masks order one int at a time: per count, combinations of bit weights, highest first
+        weights = [1 << i for i in range(n - 1, -1, -1)]
+        for lane in (sum(w) for count in range(n, -1, -1) for w in itertools.combinations(weights, count)):
+            bits = (self.blocks[:, lane >> 3] >> (lane & 7)) & 1
             c2, h2, a2 = bits[:-2].reshape(3, m, m)
             yield lane, c2, h2, bool(bits[-2]), a2, not bits[-1]
 
@@ -937,8 +936,7 @@ def run_qam_circuit(
         bits[:, order] = np.hstack([_unpack_blocks(out, count) for count, out in parts])
         blocks = np.packbits(bits, axis=1, bitorder="little")
     v2, w2, p2 = (reg.rows.reshape(m, m) for reg in (v2_reg, w2_reg, p2_reg))
-    m2 = m * m
-    return CircuitRun(d_ints, v2, w2, p2, ds.n, blocks[:m2], blocks[m2:2 * m2], blocks[2 * m2:3 * m2], *blocks[-2:])
+    return CircuitRun(d_ints, v2, w2, p2, ds.n, blocks)
 
 
 def to_analogical_set(run: CircuitRun, ds: Dataset) -> AnalogicalSet:
@@ -956,12 +954,12 @@ def to_analogical_set(run: CircuitRun, ds: Dataset) -> AnalogicalSet:
             f"circuit run is for {m} exemplars and {n} features, dataset has {ds.m} and {ds.n}"
         )
     # every bit from lane L up is 0, so a block's popcount is its count of set lanes
-    columns = np.bitwise_count(run.a2_blocks).sum(axis=1, dtype=np.int64).reshape(m, m).sum(axis=0)
+    columns = np.bitwise_count(run.blocks[2 * m * m:-2]).sum(axis=1, dtype=np.int64).reshape(m, m).sum(axis=0)
     # float64 sums are exact here: a total past 2^53 needs more blocks than memory holds
     per_outcome = np.bincount(ds._codes.outcomes, columns, len(ds.outcome_order))
     counts = dict(zip(ds.outcome_order, per_outcome.astype(np.int64).tolist()))
-    homogeneous = _unpack_blocks(run.flag_block, 1 << n) == 1
-    k = _unpack_blocks(run.c2_blocks[:: m + 1], 1 << n).sum(axis=0, dtype=np.min_scalar_type(m))
+    homogeneous = _unpack_blocks(run.blocks[-2], 1 << n) == 1
+    k = _unpack_blocks(run.blocks[: m * m : m + 1], 1 << n).sum(axis=0, dtype=np.min_scalar_type(m))
     return AnalogicalSet(
         verdicts=_LatticeVerdicts(ds, run.d, homogeneous, k),
         outcome_counts=counts,

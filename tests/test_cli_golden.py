@@ -6,7 +6,9 @@ began sharing one lattice record, so any change to a report's bytes, in
 either engine or format, fails here.  The ``escaped`` dataset's digests were
 recorded before reports were streamed through the JSON writer, so they pin
 the escaping of ``json.dumps(indent=2)``: quotes, backslashes, and non-ASCII
-and astral-plane text as ``\\uXXXX`` escapes.
+and astral-plane text as ``\\uXXXX`` escapes.  The ``measures`` digests were
+recorded before reports were written through ``json.dumps`` itself; they pin
+the only float fields of any report.
 """
 
 import hashlib
@@ -129,3 +131,32 @@ def test_cli_stdout_matches_golden_digest(datasets, dataset, case, capsys):
     code = cli.main([*CASES[case], "--dataset", path, "--given", given])
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert (code, digest) == GOLDEN[dataset, case]
+
+
+# a density on [0, 1] whose trapezoid sums are exact in binary: it integrates to 1, Z' = 1.5
+DENSITY_TEXT = "# x f(x)\n0 0\n0.25 1\n0.5 2\n0.75 1\n1 0\n"
+# labels a JSON report must escape, with entropy 1.5 bits
+INLINE_PAIRS = ['a"b:1/2', "\u00e9:1/4", "\u2603\\x:1/4"]
+
+MEASURES_GOLDEN = {
+    ("inline", "text"): (0, "5b8dc296f9d53dfff4d40a8bbb603439004d8c43a3400f86ef4b0aa70a78a37f"),
+    ("inline", "json"): (0, "5985f686e68809993a45d863d52d3453fa405afd4500dadabc3351695a190852"),
+    ("dataset", "text"): (0, "3c2ac21b44920715d55f02101132185ffce6d55aab09e03e4fd0802851ebc34c"),
+    ("dataset", "json"): (0, "fbd0ce768b0a3358f44d7e0fd3cb50fdb9cd45c8d62cf5ef93d71c7e0417a018"),
+    ("density", "text"): (0, "371db94a3737ccc7d15ff5bd58030c9ae781f336c09fc2846f5b52fb3a8a229e"),
+    ("density", "json"): (0, "9ea330eb4ea1a001d6a96025af1cff70e2929148c61f711afd4eb46015d689c0"),
+}
+
+
+@pytest.mark.parametrize("source, fmt", MEASURES_GOLDEN)
+def test_measures_stdout_matches_golden_digest(datasets, tmp_path, source, fmt, capsys):
+    density = tmp_path / "density.txt"
+    density.write_text(DENSITY_TEXT, encoding="utf-8")
+    argv = {
+        "inline": INLINE_PAIRS,
+        "dataset": ["--dataset", datasets["worked"][0], "--given", datasets["worked"][1]],
+        "density": ["--density", str(density)],
+    }[source]
+    code = cli.main(["measures", *argv, "--format", fmt])
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert (code, digest) == MEASURES_GOLDEN[source, fmt]

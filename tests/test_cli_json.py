@@ -1,4 +1,4 @@
-"""The CLI's JSON writer against ``json.dumps(indent=2)``."""
+"""The CLI's JSON writer against ``json.dumps(indent=2)``, with and without pre-rendered parts."""
 
 import io
 import json
@@ -42,17 +42,16 @@ _values = st.recursive(
 _reports = st.dictionaries(_text, _values, max_size=5)
 
 
-def _emitted(report) -> str:
+def _emitted(report, /, **rendered) -> str:
     out = io.StringIO()
     with redirect_stdout(out):
-        cli._emit_json(report)
+        cli._emit_json(report, **rendered)
     return out.getvalue()
 
 
-@settings(max_examples=200, deadline=None)
-@hgiven(_values)
-def test_writer_matches_json_dumps(obj):
-    assert cli._json(obj, "\n") == json.dumps(obj, indent=2)
+def _at(value, indent: str) -> str:
+    """``value`` as ``json.dumps(indent=2)`` renders it at newline-and-indent ``indent``."""
+    return json.dumps(value, indent=2).replace("\n", indent)
 
 
 @settings(max_examples=100, deadline=None)
@@ -60,12 +59,17 @@ def test_writer_matches_json_dumps(obj):
 def test_streamed_report_matches_json_dumps(report, data):
     expected = json.dumps(report, indent=2) + "\n"
     assert _emitted(report) == expected
-    # any top-level list may arrive as its items' text, rendered one at a time
-    lazy = {
-        k: cli._Rendered(cli._json(item, "\n    ") for item in v) if type(v) is list and data.draw(st.booleans()) else v
-        for k, v in report.items()
-    }
-    assert _emitted(lazy) == expected
+    # any top-level list may arrive as its entries' text, streamed one at a time,
+    # and any top-level value as its text; the report then holds None there
+    rendered = {}
+    for key, value in report.items():
+        ways = ["plain", "text", "streamed"] if type(value) is list else ["plain", "text"]
+        how = data.draw(st.sampled_from(ways))
+        if how == "text":
+            rendered[key] = [_at(value, "\n  ")]
+        elif how == "streamed":
+            rendered[key] = cli._streamed(_at(entry, "\n    ") for entry in value)
+    assert _emitted({**report, **dict.fromkeys(rendered)}, **rendered) == expected
 
 
 def test_writer_report_shapes():
@@ -83,10 +87,18 @@ def test_writer_report_shapes():
         "nothing": None,
     }
     assert _emitted(expected) == json.dumps(expected, indent=2) + "\n"
-    # a list may also arrive as its items' text, rendered at the item indent
-    rendered = (cli._json(mask, "\n    ") for mask in masks)
-    report = {**expected, "masks": cli._Rendered(rendered), "empty": cli._Rendered([])}
-    assert _emitted(report) == json.dumps(expected, indent=2) + "\n"
+    # a list may also arrive as its entries' text, and a value as its text
+    report = {**expected, "masks": None, "empty": None, "ragged": None}
+    assert _emitted(
+        report,
+        masks=cli._streamed(_at(mask, "\n    ") for mask in masks),
+        empty=cli._streamed([]),
+        ragged=[_at(expected["ragged"], "\n  ")],
+    ) == json.dumps(expected, indent=2) + "\n"
+    # the placeholder is found by its key, whatever the key holds or is called
+    assert _emitted({'"report": null': None, "report": None}, report=["1"]) == (
+        '{\n  "\\"report\\": null": null,\n  "report": 1\n}\n'
+    )
     assert _emitted({}) == "{}\n"
 
 
@@ -95,13 +107,10 @@ def test_writer_rejects_what_json_rejects(obj):
     with pytest.raises(TypeError):
         json.dumps(obj, indent=2)
     with pytest.raises(TypeError):
-        cli._json(obj, "\n")
-    with pytest.raises(TypeError):
         _emitted({"value": obj})
 
 
-def test_writer_rejects_non_str_keys():
-    # json.dumps would turn the key into a string; no report has such a key
-    for obj in ({1: "a"}, {None: 1}, {(1, 2): 3}):
-        with pytest.raises(TypeError):
-            cli._json(obj, "\n")
+def test_report_json_cannot_encode_writes_nothing(capsys):
+    with pytest.raises(TypeError):
+        cli._emit_json({"a": 1, "b": object()})
+    assert capsys.readouterr().out == ""

@@ -491,7 +491,7 @@ def test_lanes_read_each_mask_from_its_own_lane():
     bits = np.random.default_rng(3).integers(0, 2, (3 * m * m + 2, 1 << n), dtype=np.uint8)
     blocks = np.packbits(bits, axis=1, bitorder="little")
     pairs = np.zeros((m, m), np.uint8)
-    run = CircuitRun(np.zeros(m, np.int64), pairs, pairs, pairs, n, *np.split(blocks[:-2], 3), *blocks[-2:])
+    run = CircuitRun(np.zeros(m, np.int64), pairs, pairs, pairs, n, blocks)
     read = list(run.lanes())
     assert [lane for lane, *_ in read] == mask_ints(n).tolist()
     for (lane, c2, h2, flag, a2, restored), result in zip(read, run.results):
@@ -501,6 +501,22 @@ def test_lanes_read_each_mask_from_its_own_lane():
         assert result.mask == int_to_bits(lane, n) and np.array_equal(result.a2, a2)
         assert (result.homogeneous, result.ancillas_restored) == (flag, restored)
     assert [r.mask for r in run.results] == list(iter_masks(n))
+
+
+def test_first_lane_reads_the_blocks_in_place():
+    # the blocks hold 1.5 MiB at m=8 n=16; reading one lane copies neither them nor a table of 2^n masks
+    rng = random.Random(16)
+    m, n = 8, 16
+    ds = Dataset.from_pairs([(tuple(rng.choice("ab") for _ in range(n)), rng.choice("xyz")) for _ in range(m)])
+    run = run_qam_circuit(ds, tuple(rng.choice("ab") for _ in range(n)))
+    tracemalloc.start()
+    try:
+        lane, *_ = next(run.lanes())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lane == (1 << n) - 1
+    assert peak < run.blocks.nbytes / 10
 
 
 # --- the lane engine -----------------------------------------------------------------
@@ -616,12 +632,11 @@ def test_blocks_keep_padding_lanes_clear(n, m):
     cut = _CutTrace(max_steps=steps * 2 // 5)
     for run in (run_qam_circuit(ds, given), run_qam_circuit(ds, given, trace=cut)):
         assert _circuit_fields(run) == one_by_one
-        for blocks in (run.c2_blocks, run.h2_blocks, run.a2_blocks, run.flag_block, run.not_restored_block):
-            assert blocks.shape[-1] == -(-lanes // 8)
-            assert not np.unpackbits(blocks, axis=-1, bitorder="little")[..., lanes:].any()
+        assert run.blocks.shape == (3 * m * m + 2, -(-lanes // 8))
+        assert not np.unpackbits(run.blocks, axis=-1, bitorder="little")[:, lanes:].any()
         # lane l is mask int l: the flags and the C2 diagonal's lane counts are the fast engine's record
-        flags = np.unpackbits(run.flag_block, count=lanes, bitorder="little")
-        c2 = np.unpackbits(run.c2_blocks, axis=-1, count=lanes, bitorder="little")
+        flags = np.unpackbits(run.blocks[-2], count=lanes, bitorder="little")
+        c2 = np.unpackbits(run.blocks[: m * m], axis=-1, count=lanes, bitorder="little")
         assert np.array_equal(flags == 1, fast.verdicts.homogeneous)
         assert np.array_equal(c2[:: m + 1].sum(axis=0), fast.verdicts.k)
         # results keep iter_masks order, each read from its mask's lane
