@@ -33,12 +33,11 @@ Bits = tuple[int, ...]
 # The fast engine's subset sums take O((outcomes + 1) * n * 2^n) time and
 # about (outcomes + 1) * 2 * w * 2^n bytes, rows of w bytes (1 up to m = 255)
 # plus one transposed copy: 128 MiB at n = 24 with 3 outcomes and m <= 255.
-# Either engine's lattice record keeps 2^n * (1 + w) bytes, 32 MiB at n = 24.
-# Two-step prediction still builds every mask's verdict in Python; explain
-# reads the record in array passes.  The gate engine holds C2, H2, A2 and its
-# sweep register as 4 * m^2 + 1 rows of 2^n bits each, plus about 4n + 5
-# words of m * 2^n bits for the (mask, j') lanes of its containment scan.
-# Reports hold one mask at a time.  Refuse larger n by default.
+# Either engine's lattice record keeps 2^n * (1 + w) bytes, 32 MiB at n = 24,
+# read by two-step prediction and explain in chunked member passes.  The gate
+# engine holds C2, H2, A2 and its sweep register as 4 * m^2 + 1 rows of 2^n
+# bits each, plus about 4n + 5 words of m * 2^n bits for the (mask, j') lanes
+# of its containment scan.  Reports hold one mask at a time.  Refuse larger n by default.
 DEFAULT_N_CAP = 24
 
 WORKED_EXAMPLE_GIVEN: FeatureVector = ("o", "m", "a")
@@ -323,9 +322,13 @@ def mask_ints(n: int) -> np.ndarray:
     Per selected count, most first, the values of that count in descending
     order; no mask tuple is built, and the ints take the narrowest unsigned type.
     """
-    values = np.arange((1 << n) - 1, -1, -1, dtype=np.min_scalar_type((1 << n) - 1))
-    counts = np.bitwise_count(values)
-    return np.concatenate([values[counts == c] for c in range(n, -1, -1)])
+    top = (1 << n) - 1
+    # i keyed by its popcount above its n bits sorts by count, then i: masks top - i in order
+    keys = np.arange(top + 1, dtype=np.min_scalar_type((n + 1) << n))
+    keys |= np.left_shift(np.bitwise_count(keys), n, dtype=keys.dtype)
+    keys.sort()
+    keys &= top
+    return np.subtract(top, keys, out=keys).astype(np.min_scalar_type(top), copy=False)
 
 
 def mask_at(n: int, index: int) -> Bits:

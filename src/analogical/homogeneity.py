@@ -28,7 +28,7 @@ import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations, product
 from math import lcm
 
@@ -95,7 +95,7 @@ class AnalogicalSet:
     ``total_pointers`` is their sum, equal to the sum of k^2 over the
     homogeneous supracontexts.  ``verdicts`` is the lattice record both
     engines return, which keeps a flag and a w-byte member count per mask
-    (2^n * (1 + w) bytes) and builds each mask's verdict when read.
+    (2^n * (1 + w) bytes) and builds a verdict only when indexed or iterated.
     """
 
     verdicts: Sequence[SupracontextVerdict]
@@ -258,12 +258,16 @@ def _pointer_sums(k: np.ndarray, per_outcome: np.ndarray, max_k: int) -> tuple[l
     return [int(dot(row, k)) for row in per_outcome], int(dot(k, k))
 
 
+_PASS_CELLS = 1 << 13  # (mask, exemplar) cells per pass over a chunk of masks
+
+
 class _LatticeVerdicts(Sequence):
     """The lattice record both engines build: per-mask verdicts in :func:`iter_masks` order.
 
     ``d`` holds :func:`encode`'s difference vectors; ``homogeneous`` (bool)
-    and ``k`` (members, in the narrow row type) are indexed by mask int.  A
-    verdict is built on access, members by ``d & mask == 0``; none is cached.
+    and ``k`` (members, in the narrow row type) are indexed by mask int.
+    Members, ``d & mask == 0``, are counted in :meth:`member_passes` and
+    listed in verdicts, built only on access; none is cached.
     """
 
     def __init__(self, ds: Dataset, d: np.ndarray, homogeneous: np.ndarray, k: np.ndarray):
@@ -291,6 +295,27 @@ class _LatticeVerdicts(Sequence):
             return NotImplemented
         return tuple(self) == tuple(other)
 
+    @cached_property
+    def subcontexts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct vectors numbered by first member, each exemplar's number, and n_so[s, o]."""
+        vectors, first, sub = np.unique(self.d, return_index=True, return_inverse=True)
+        by_first = np.argsort(first)
+        sub = np.argsort(by_first)[sub]
+        n_so = np.zeros((len(vectors), len(self.ds.outcome_order)), np.intp)
+        np.add.at(n_so, (sub, self.ds._codes.outcomes), 1)
+        # vectors in the masks' own narrow type, so an AND makes no wider array
+        return vectors[by_first].astype(np.min_scalar_type(len(self) - 1)), sub, n_so
+
+    def member_passes(self, masks: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+        """Per chunk of ``masks``, from ``d`` alone: the masks, subcontexts inside each, N_o and k."""
+        vectors, _, n_so = self.subcontexts
+        step = max(1, _PASS_CELLS // self.ds.m)
+        for start in range(0, len(masks), step):
+            chunk = masks[start:start + step]
+            inside = (vectors & chunk[:, None]) == 0
+            per_outcome = inside @ n_so
+            yield chunk, inside, per_outcome, per_outcome.sum(axis=1)
+
     def _verdict(self, mask: Bits) -> SupracontextVerdict:
         mask_int = bits_to_int(mask)
         # tuples from lists: tuples grown from generators fragment the heap
@@ -304,16 +329,12 @@ class _LatticeVerdicts(Sequence):
         )
 
 
-_PASS_CELLS = 1 << 13  # (mask, exemplar) cells per pass over a chunk of masks
-
-
 class _ExplainLattice:
     """Every mask's members and four verdicts, for ``explain``, from the lattice record and P2.
 
-    Exemplars sharing a difference vector form a subcontext, numbered in
-    order of its first member.  Each criterion keeps its own rule, evaluated
-    over all masks in array passes, with N_o members of outcome o, and n_s
-    members in subcontext s, n_so of them of outcome o:
+    Each criterion keeps its own rule, evaluated over all masks in the
+    record's member passes, with N_o members of outcome o, and n_s members
+    in subcontext s, n_so of them of outcome o:
 
     * pointer: no member pair is set in P2.  A pair lies in a mask when the
       OR of its difference vectors does, so an OR subset-sum over the ORs of
@@ -331,43 +352,24 @@ class _ExplainLattice:
     """
 
     def __init__(self, ds: Dataset, given: Sequence[str], record: _LatticeVerdicts) -> None:
-        self.m, self.n, self.homogeneous = ds.m, ds.n, record.homogeneous
-        d, outcomes = record.d, encode(ds, given)[1]
-        groups: dict[int, list[int]] = {}
-        for j, v in enumerate(d.tolist(), 1):
-            groups.setdefault(v, []).append(j)
-        self.keys, self.groups = [format(v, f"0{ds.n}b") for v in groups], list(groups.values())
-        # vectors and pair ORs in the masks' own narrow type, so an AND makes no wider array
-        narrow = np.min_scalar_type((1 << ds.n) - 1)
-        self.vectors = np.array(list(groups), dtype=narrow)
-        number = {v: s for s, v in enumerate(groups)}
-        self.sub = np.array([number[v] for v in d.tolist()])  # each exemplar's subcontext
-        kinds = len(ds.outcome_order)
-        n_so = np.bincount(self.sub * kinds + outcomes, minlength=len(groups) * kinds)
-        n_so = n_so.reshape(-1, kinds)
+        self.record, self.m, self.n = record, ds.m, ds.n
+        self.vectors, self.sub, n_so = record.subcontexts
+        self.keys = [format(v, f"0{ds.n}b") for v in self.vectors.tolist()]
+        self.groups = [[] for _ in self.keys]
+        for j, s in enumerate(self.sub.tolist(), 1):
+            self.groups[s].append(j)
         self.within = n_so.sum(axis=1) ** 2 - (n_so**2).sum(axis=1)
-        # each exemplar's subcontext, exemplars grouped by outcome: N_o sums one run
-        by_outcome = np.argsort(outcomes, kind="stable")
-        self.sub_by_outcome = self.sub[by_outcome]
-        self.outcome_starts = np.searchsorted(outcomes[by_outcome], np.arange(kinds))
-
         a, b = np.triu(pointer_heterogeneity_matrix(ds, given), 1).nonzero()
         self.pairs = np.column_stack((a, b + ds.m)).astype(np.min_scalar_type(2 * ds.m))
-        self.unions = (d[a] | d[b]).astype(narrow)
+        self.unions = (record.d[a] | record.d[b]).astype(self.vectors.dtype)
         held = np.zeros((1, 1 << ds.n), bool)  # by c = NOT mask; a sum of bools is their OR
         held[0, self.unions] = True
         _zeta(held, range(ds.n))
         self.pointer = ~held[0, ::-1]  # by mask int
 
     def __iter__(self) -> Iterator[tuple]:
-        m, width, order = self.m, len(self.vectors), mask_ints(self.n)
-        step = max(1, _PASS_CELLS // m)
-        for start in range(0, len(order), step):
-            masks = order[start:start + step]
-            inside = (self.vectors & masks[:, None]) == 0  # subcontexts in each mask
-            by_outcome = inside[:, self.sub_by_outcome]
-            per_outcome = np.add.reduceat(by_outcome, self.outcome_starts, axis=1, dtype=np.intp)
-            k = per_outcome.sum(axis=1)
+        m, width = self.m, len(self.vectors)
+        for masks, inside, per_outcome, k in self.record.member_passes(mask_ints(self.n)):
             subcontexts, outcomes = inside.sum(axis=1), np.count_nonzero(per_outcome, axis=1)
             plurality = ~((subcontexts >= 2) & (outcomes >= 2))
             determinism = (outcomes <= 1) | (subcontexts <= 1)
@@ -375,7 +377,7 @@ class _ExplainLattice:
             disagreement = supra == np.einsum("ij,j->i", inside, self.within)
             codes = 8 * self.pointer[masks] + 4 * plurality + 2 * determinism + disagreement
             member_flags, sub_flags = inside[:, self.sub].tobytes(), inside.tobytes()
-            rows = zip(masks.tolist(), k.tolist(), self.homogeneous[masks].tolist(), codes.tolist())
+            rows = zip(masks.tolist(), k.tolist(), self.record.homogeneous[masks].tolist(), codes.tolist())
             for i, (mask, count, homogeneous, code) in enumerate(rows):
                 yield (
                     format(mask, f"0{self.n}b"),
@@ -391,9 +393,7 @@ class _ExplainLattice:
 def predict_distribution(aset: AnalogicalSet) -> OutcomeDistribution:
     """One-step prediction: probability of each outcome among all pointers."""
     if aset.total_pointers == 0:
-        raise NoAnalogicalSupportError(
-            "no analogical support: every supracontext is empty or heterogeneous"
-        )
+        raise NoAnalogicalSupportError("no analogical support: every supracontext is empty or heterogeneous")
     return OutcomeDistribution(
         {o: Fraction(c, aset.total_pointers) for o, c in aset.outcome_counts.items()}
     )
@@ -405,20 +405,17 @@ def two_step_distribution(aset: AnalogicalSet) -> OutcomeDistribution:
     A homogeneous supracontext with k members is selected with probability
     k^2 / total, then each outcome within it with probability
     k * count(outcome) / k^2.  Equals :func:`predict_distribution` exactly.
+    Sum k * N_o and sum k^2 are added up over the record's member passes; a
+    hand-built ``aset`` whose ``verdicts`` is no engine's record raises ``TypeError``.
     """
     if aset.total_pointers == 0:
-        raise NoAnalogicalSupportError(
-            "no analogical support: every supracontext is empty or heterogeneous"
-        )
-    probs = {o: Fraction(0) for o in aset.outcome_counts}
-    for v in aset.verdicts:
-        if not v.homogeneous or v.k == 0:
-            continue
-        select = Fraction(v.k * v.k, aset.total_pointers)
-        for o in set(v.member_outcomes):
-            within = Fraction(v.k * v.member_outcomes.count(o), v.k * v.k)
-            probs[o] += select * within
-    return OutcomeDistribution(probs)
+        raise NoAnalogicalSupportError("no analogical support: every supracontext is empty or heterogeneous")
+    if not isinstance(record := aset.verdicts, _LatticeVerdicts):
+        raise TypeError("two-step prediction reads an engine's lattice record, not a verdict sequence")
+    chunks = record.member_passes(np.flatnonzero(record.homogeneous & (record.k > 0)))
+    counts, squares = zip(*(_pointer_sums(k, n_o.T, record.ds.m) for *_, n_o, k in chunks))
+    counts, squares = map(sum, zip(*counts)), sum(squares)
+    return OutcomeDistribution({o: Fraction(c, squares) for o, c in zip(record.ds.outcome_order, counts)})
 
 
 def most_likely_outcome(dist: OutcomeDistribution) -> str:

@@ -6,6 +6,7 @@ for both engines.  Row/column index j refers to exemplar j (1-based).
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,6 +28,22 @@ def random_instance(rng: random.Random, max_m: int = 8, max_n: int = 4,
     ]
     given = tuple(rng.choice(FEATURE_POOL) for _ in range(n))
     return Dataset.from_pairs(pairs), given
+
+
+def two_step_by_verdicts(aset) -> dict:
+    """Two-step probabilities from a walk over every mask's verdict: the oracle for the lattice pass.
+
+    A homogeneous supracontext with k members is selected with probability
+    k^2 / total, then each outcome within it with probability k * count / k^2.
+    """
+    probs = {o: Fraction(0) for o in aset.outcome_counts}
+    for v in aset.verdicts:
+        if not v.homogeneous or v.k == 0:
+            continue
+        select = Fraction(v.k * v.k, aset.total_pointers)
+        for o in set(v.member_outcomes):
+            probs[o] += select * Fraction(v.k * v.member_outcomes.count(o), v.k * v.k)
+    return probs
 
 
 def pair_block(m: int, members) -> np.ndarray:

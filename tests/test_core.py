@@ -3,6 +3,7 @@
 import codecs
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -346,6 +347,18 @@ def test_mask_at_matches_iter_masks(n):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_mask_ints_match_iter_masks(n):
     assert mask_ints(n).tolist() == [bits_to_int(mask) for mask in iter_masks(n)]
+
+
+def test_mask_ints_peak_stays_near_its_result():
+    # the result, one popcount byte per mask, and one count's positions at a time
+    mask_ints(18)
+    tracemalloc.start()
+    try:
+        masks = mask_ints(18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * masks.nbytes, (peak, masks.nbytes)
 
 
 @hgiven(st.integers(min_value=1, max_value=16).flatmap(

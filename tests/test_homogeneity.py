@@ -32,6 +32,7 @@ from analogical import (
     to_analogical_set,
     two_step_distribution,
 )
+from analogical import homogeneity
 from analogical.core import encode
 from analogical.homogeneity import _pointer_sums
 from helpers import (
@@ -42,6 +43,7 @@ from helpers import (
     EXPECTED_TOTAL,
     pair_block,
     random_instance,
+    two_step_by_verdicts,
 )
 
 ALL_CRITERIA = (
@@ -299,6 +301,73 @@ def test_wide_lattice_without_the_walk():
     for i in (0, 12345, -1):
         v = aset.verdicts[i]
         assert v.members == contained_exemplars(ds, given, v.mask)
+
+
+# --- two-step prediction off the lattice record ----------------------------------
+
+@pytest.mark.parametrize("cells", [1, 5, homogeneity._PASS_CELLS])
+@pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES)
+def test_two_step_pass_matches_the_verdict_walk(engine, cells, monkeypatch):
+    # a tiny cell budget splits even the smallest lattice into several chunks
+    monkeypatch.setattr(homogeneity, "_PASS_CELLS", cells)
+    squares = []
+
+    def recording(k, per_outcome, max_k):
+        counts, square = _pointer_sums(k, per_outcome, max_k)
+        squares.append(square)
+        return counts, square
+
+    monkeypatch.setattr(homogeneity, "_pointer_sums", recording)
+    rng = random.Random(2113)
+    for ds, given in _oracle_instances(rng, 40):
+        aset = engine(ds, given)
+        squares.clear()
+        probs = two_step_distribution(aset).probabilities
+        assert probs == two_step_by_verdicts(aset)
+        assert list(probs) == list(ds.outcome_order)
+        # the pass's own sum of k^2 is the engine's pointer total
+        assert sum(squares) == aset.total_pointers
+        record = aset.verdicts
+        masks = np.count_nonzero(record.homogeneous & (record.k > 0))
+        assert len(squares) == -(-masks // max(1, cells // ds.m))
+
+
+@pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES)
+def test_two_step_builds_no_per_mask_verdict(engine, monkeypatch):
+    def refuse(self, mask):
+        raise AssertionError("two-step prediction built a per-mask verdict")
+
+    monkeypatch.setattr(homogeneity._LatticeVerdicts, "_verdict", refuse)
+    rng = random.Random(2114)
+    for ds, given in _oracle_instances(rng, 10):
+        aset = engine(ds, given)
+        assert two_step_distribution(aset).probabilities == predict_distribution(aset).probabilities
+
+
+def test_two_step_refuses_a_hand_built_verdict_sequence(worked):
+    ds, given = worked
+    aset = analogical_set(ds, given)
+    by_hand = AnalogicalSet(
+        verdicts=tuple(aset.verdicts),
+        outcome_counts=aset.outcome_counts,
+        total_pointers=aset.total_pointers,
+    )
+    with pytest.raises(TypeError, match="lattice record"):
+        two_step_distribution(by_hand)
+
+
+def test_two_step_on_an_all_heterogeneous_record_raises(worked):
+    # no engine builds one (the most specific non-empty mask is homogeneous), so by hand
+    ds, given = worked
+    record = analogical_set(ds, given).verdicts
+    flags = np.zeros_like(record.homogeneous)
+    none = AnalogicalSet(
+        verdicts=homogeneity._LatticeVerdicts(ds, record.d, flags, record.k),
+        outcome_counts={o: 0 for o in ds.outcome_order},
+        total_pointers=0,
+    )
+    with pytest.raises(NoAnalogicalSupportError):
+        two_step_distribution(none)
 
 
 def int64_yates(ds, given):
