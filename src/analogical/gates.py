@@ -14,18 +14,19 @@ beginning to end: the homogeneity scan never exits early, because a
 heterogeneous supracontext must run the same gates as a homogeneous one.
 Since no gate depends on the data, all 2^n per-mask circuits run as one
 bit-sliced circuit, mask int l in "lane" l, and each gate acts on all lanes
-at once.  The comparators' registers are Python ints holding one bit per
-lane: NOT is ``x ^= ALL``, CNOT ``t ^= c`` and Toffoli ``t ^= a & b``,
-where ALL = 2^L - 1 for L lanes.  C2, H2, A2 and the sweep register F are
-(entry x block) uint8 arrays instead: row k holds entry k's L lanes in a
-block of B = ceil(L / 8) bytes, lane l in bit l % 8 of byte l // 8.  ALL
-as one block has its bits from L up at 0, and every gate XORs into its
-target ALL or its controls' AND, so those padding bits stay 0 everywhere.
-Registers shared by every mask (D, P2) are broadcast to 0 or ALL.  The
-gate sequence, and so every per-mask gate count, is the one a single mask
-would run.  The run keeps its outputs as blocks: pointer counts are
-popcounts of the A2 blocks, flags and member counts (the C2 diagonal) are
-read off them into the lattice record both engines share, and a mask's
+at once.  The comparators' registers are lists of Python ints holding one
+bit per lane: NOT is ``x ^= ALL``, CNOT ``t ^= c`` and Toffoli
+``t ^= a & b``, where ALL = 2^L - 1 for L lanes.  C2, H2, A2 and the sweep
+register F are (entry x block) numpy arrays instead: row k holds entry k's
+L lanes in a block of B = ceil(L / 8) bytes, lane l in bit l % 8 of byte
+l // 8, as 64-bit words where a block is whole words (n >= 6).  ALL as
+one block has its bits from L up at 0, and every gate XORs
+into its target ALL or its controls' AND, so those padding bits stay 0
+everywhere.  Registers shared by every mask (D, P2) are broadcast to 0 or
+ALL.  The gate sequence, and so every per-mask gate count, is the one a
+single mask would run.  The run keeps its outputs as blocks: pointer counts
+are popcounts of the A2 blocks, flags and member counts (the C2 diagonal)
+are read off them into the lattice record both engines share, and a mask's
 matrices are read from its lane only when a caller asks for them.
 
 The loops over the m^2 entries after the containment scan are one numpy
@@ -36,8 +37,7 @@ their gates commute and run at once: ``H2 ^= C2 & P2``, ``H2 ^= ALL`` and
 ``A2 ^= C2 & F(m^2)``.  The sweep is a chain, step k applying F(k) ^=
 H(k-1) AND F(k-1) for k = 1..m^2.  Forward, F(1..m^2) start at their
 preset 0, so it leaves the prefix AND F(k) = F(0) AND H(0) AND ... AND
-H(k-1), one ``np.bitwise_and.accumulate``, over 64-bit words where a
-block is whole words (n >= 6).  The inverse runs k from m^2 down to 1,
+H(k-1), one ``np.bitwise_and.accumulate``.  The inverse runs k from m^2 down to 1,
 and step k reads F(k-1), which the loop writes only after step k: every
 step reads F as the inverse found it, so it is one
 ``F[1:] ^= H & F[:-1]``.  The restoration check ORs F's blocks.
@@ -45,8 +45,13 @@ step reads F as the inverse found it, so it is one
 Two more loops run as lanes the same way.  The m^2 comparators behind V2
 (and W2) each have fresh scratch and write only their own entry, so they
 run as one comparator over m^2 pair lanes: lane j*m + j' holds D[j] (O[j])
-as u, D[j'] (O[j']) as v and V2(j, j') (W2(j, j')) as the flag.  V2, W2
-and P2 are block registers of one lane, shared by every mask, and
+as u, D[j'] (O[j']) as v and V2(j, j') (W2(j, j')) as the flag.  D and O
+are (m x n) and (m x width) bit arrays, one row per exemplar, and a pair
+word is integer arithmetic on a column of them: bit i's v word is column i
+as an m-bit int times the repunit (2^(m^2) - 1) / (2^m - 1), that is, the
+column in every block of m lanes, and its u word has bit j of the column in
+every lane of block j.  V2 and W2 are words of m^2 one-lane entries, unpacked
+once into block registers of one lane, shared by every mask, and
 P2 = V2 AND W2 is the entrywise loop of H2 = C2 AND P2.  The containment
 scan runs its rows j as lanes.  A row j (test D[j] into Y, the inner loop
 over j', test again) reads only S and D, returns Y, and with it Z, to the
@@ -60,29 +65,34 @@ same in every row: one test of D[j'] shared by all rows gives every
 (j, j') item the Z the serial loop gives it, and the window's Toffolis
 into C2 are the outer AND of Y(j) and Z(j').  The scan's words are runs
 of blocks of B bytes, one block per exemplar holding its L mask lanes as a
-row of C2 does: S is copied into every block and D[b] fills block b.  A
-window of rows runs its Y tests on (j, mask) words and its Z tests on
-(j', mask) words, then flips its C2 rows at once, block j of Y AND block
-j' of Z into row (j, j'); the restoration checks are the OR of the blocks.
-Each mask sees the serial loop's gates and final registers, and a shared
-Z test counts once per row of the window.
+row of C2 does: S, Y, Z and ALL repeat in every block, and block b of D's
+word i is ALL where D[b]'s bit i is set, all built once per scan from
+S's words and D's bit array.  A window of rows runs its Y tests on
+(j, mask) words and its Z tests on (j', mask) words, cut from those by a
+shift and a mask, then flips its C2 rows at once, block j of Y AND block
+j' of Z into row (j, j'); the restoration check ORs the blocks.  Each
+mask sees the serial loop's gates and final registers, and a shared Z test
+counts once per row of the window.
 
 Each loop over items (pairs, masks, rows of the scan, and j' within them)
 has one body, which runs a window of items side by side; an untraced run
 makes one window per loop, and so six comparator calls in all: V2, W2,
-and the scan's two Y and two Z tests.  With a :class:`GateTrace` attached
-the items run in windows of one item of the same code, on plain 0/1 bits:
-a mask window's blocks are one byte holding one lane.  The array loops
-then record, from their target's blocks before and after, one gate per
-entry in the serial loop's order.  A window's registers take the names of
-its first item's, and a word cut from a register records that register's
-indices (``_Lanes.offset``), so every recorded step is the one the serial
-circuit applies.  Once the trace is truncated the items left run in one
-window as an untraced run would, and ``trace.tally`` counts each of their
-gates once per item, an array loop's m^2 gates in one step.  Only a run
-whose trace records when the masks start takes them in :func:`iter_masks`
-order, and its windows' outputs go to their masks' lanes; any other run
-takes every mask in one window.  Results do not depend on the lane width.
+and the scan's two Y and two Z tests.  A comparator's gates are
+statements on its local lists of words.  With a :class:`GateTrace`
+attached the items run in windows of one item of the same code, on plain
+0/1 bits: a mask window's blocks are one byte holding one lane.  The
+comparators then hand each gate to the trace as they apply it, and the
+array loops record, from their target's blocks before and after, one gate
+per entry in the serial loop's order.  A window's registers take the names
+of its first item's, and a word cut from a register records that
+register's indices, so every recorded step is the one the serial circuit
+applies.  From the step that truncates the trace on, gates only add to
+``trace.tally``: the rest of the running comparator or array loop in one
+step per op, and the items left in one window as an untraced run would
+run them, each gate once per item.  Only a run whose trace records when
+the masks start takes them in :func:`iter_masks` order, and its windows'
+outputs go to their masks' lanes; any other run takes every mask in one
+window.  Results do not depend on the lane width.
 
 Matrix registers are kept flat in row-major order: entry (j, j') of an
 m x m array lives at position k = (j - 1) * m + j', with j, j' and k
@@ -106,10 +116,12 @@ from .core import (
     DEFAULT_N_CAP,
     Bits,
     Dataset,
+    bits_to_int,
     bits_to_str,
     check_lattice_size,
     encode,
     int_to_bits,
+    iter_masks,
     mask_ints,
 )
 from .homogeneity import AnalogicalSet, _LatticeVerdicts
@@ -117,19 +129,22 @@ from .homogeneity import AnalogicalSet, _LatticeVerdicts
 _fresh = itertools.count()
 
 
-class _Lanes:
-    """A named register of lane words: bit l of every word belongs to lane l.
+class BitRegister:
+    """A named, fixed-length register of classical bits (strictly 0 or 1)."""
 
-    ``offset`` is added to every index a gate records, so a word cut from
-    entries start.. of another register records the entries' own indices.
-    """
+    __slots__ = ("name", "_bits")
 
-    __slots__ = ("name", "_bits", "offset")
+    def __init__(self, name: str, bits: Sequence[int]):
+        checked = []
+        for b in bits:
+            if b != 0 and b != 1:
+                raise ValueError(f"register {name!r}: bit value {b!r} is not 0 or 1")
+            checked.append(int(b))
+        self.name, self._bits = name, checked
 
-    def __init__(self, name: str, words: Sequence[int], offset: int = 0):
-        self.name = name
-        self._bits = list(words)
-        self.offset = offset
+    @classmethod
+    def zeros(cls, name: str, length: int) -> "BitRegister":
+        return cls(name, [0] * length)
 
     @property
     def bits(self) -> Bits:
@@ -143,24 +158,6 @@ class _Lanes:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._bits)
-
-
-class BitRegister(_Lanes):
-    """A named, fixed-length register of classical bits (strictly 0 or 1)."""
-
-    __slots__ = ()
-
-    def __init__(self, name: str, bits: Sequence[int]):
-        checked = []
-        for b in bits:
-            if b != 0 and b != 1:
-                raise ValueError(f"register {name!r}: bit value {b!r} is not 0 or 1")
-            checked.append(int(b))
-        super().__init__(name, checked)
-
-    @classmethod
-    def zeros(cls, name: str, length: int) -> "BitRegister":
-        return cls(name, [0] * length)
 
     def __setitem__(self, i: int, value: int) -> None:
         if value != 0 and value != 1:
@@ -200,9 +197,10 @@ class GateTrace:
         self.initial: dict[str, Bits] = {}
         self.tally: Counter[str] = Counter()
 
-    def track(self, reg: _Lanes | _Blocks) -> None:
-        if reg.name not in self.initial:
-            self.initial[reg.name] = reg.bits
+    def track(self, name: str, bits: Sequence[int]) -> None:
+        """Snapshot register ``name`` as ``bits``, unless it is tracked already."""
+        if name not in self.initial:
+            self.initial[name] = tuple(bits)
 
     def record(self, op: str, operands: tuple[tuple[str, int], ...], before: int, after: int) -> None:
         self.tally[op] += 1
@@ -237,43 +235,9 @@ class GateTrace:
         return state
 
 
-# --- primitive gates -------------------------------------------------------
-#
-# Every primitive acts on all lanes of its target word at once.  ``ones`` is
-# ALL, the word with every lane set, so NOT flips each lane.
-
-def _not(reg: _Lanes, i: int, ones: int, trace: GateTrace | None) -> None:
-    before = reg._bits[i]
-    reg._bits[i] = before ^ ones
-    if trace is not None:
-        trace.record("not", ((reg.name, reg.offset + i),), before, before ^ ones)
-
-
-def _cnot(creg: _Lanes, ci: int, treg: _Lanes, ti: int, trace: GateTrace | None) -> None:
-    before = treg._bits[ti]
-    after = before ^ creg._bits[ci]
-    treg._bits[ti] = after
-    if trace is not None:
-        trace.record("cnot", ((creg.name, creg.offset + ci), (treg.name, treg.offset + ti)), before, after)
-
-
-def _ccnot(
-    areg: _Lanes, ai: int,
-    breg: _Lanes, bi: int,
-    treg: _Lanes, ti: int,
-    trace: GateTrace | None,
-) -> None:
-    before = treg._bits[ti]
-    after = before ^ (areg._bits[ai] & breg._bits[bi])
-    treg._bits[ti] = after
-    if trace is not None:
-        operands = ((areg.name, areg.offset + ai), (breg.name, breg.offset + bi), (treg.name, treg.offset + ti))
-        trace.record("ccnot", operands, before, after)
-
-
-def _not_all(reg: _Lanes, ones: int, trace: GateTrace | None) -> None:
-    for i in range(len(reg)):
-        _not(reg, i, ones, trace)
+def _recording(trace) -> bool:
+    """Whether ``trace`` takes steps: it is there and not truncated."""
+    return trace is not None and not trace.truncated
 
 
 def _check_bit(value: int, what: str) -> int:
@@ -303,69 +267,101 @@ def gate_ccnot(a: int, b: int, target: int) -> int:
 # inclusion), negate the scratch, sweep an AND chain seeded by the ancilla
 # across it, flip the flag off the chain end, then uncompute everything.
 # The gate sequence is an exact palindrome around the flag flip, so running
-# it a second time is the inverse.
+# it a second time is the inverse.  Every gate acts on all lanes of its
+# target word at once; ``ones`` is ALL, the word with every lane set.
 
 def _comparator_apply(
     mode: str,
-    u: _Lanes,
-    v: _Lanes,
+    u: Sequence[int],
+    v: Sequence[int],
     ancilla: int,
-    flag_reg: _Lanes,
-    flag_idx: int,
+    flag: int,
     ones: int,
-    trace: GateTrace | None,
-) -> int:
-    """Apply the comparator skeleton in every lane; returns the ancilla word after the op.
+    trace,
+    names: tuple[str, str, str, int],
+) -> tuple[int, int]:
+    """Apply the comparator skeleton to the lane words ``u`` and ``v``; returns the flag and ancilla words after it.
 
     mode "xor": a lane's flag flips iff u == v (bitwise equal) in that lane.
     mode "and": a lane's flag flips iff u AND v is all zeros in that lane.
-    Scratch and chain registers are created fresh, used, and uncomputed;
-    the chain's seed slot holds the ancilla and is never written.
+    Scratch and chain words are fresh, used, and uncomputed; the chain's
+    seed slot holds the ancilla and is never written.  While ``trace``
+    records, each gate goes to it as it is applied, operands named by
+    ``names`` (the registers of u, v and the flag, and the flag's index) and
+    by fresh scratch and chain registers.  Every gate it does not record,
+    from a cut on or all of them for a trace truncated already, is added to
+    its tally at the end, once per item of the window.
     """
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
     n = len(u)
+    if len(v) != n:
+        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
     uid = next(_fresh)
-    scratch = _Lanes(f"cmp{uid}.scratch", [0] * n)
-    chain = _Lanes(f"cmp{uid}.chain", [ancilla] + [0] * n)
+    s, c = [0] * n, [ancilla] + [0] * n
+    xor = mode == "xor"
+    un, vn, fn, fi = names
+    live = _recording(trace)
     if trace is not None:
-        trace.track(u)
-        trace.track(v)
-        trace.track(flag_reg)
-        trace.track(scratch)
-        trace.track(chain)
+        seen = dict(trace.tally)
+    if live:
+        sn, cn = f"cmp{uid}.scratch", f"cmp{uid}.chain"
+        for name, bits in ((un, u), (vn, v), (fn, (flag,)), (sn, s), (cn, c)):
+            trace.track(name, bits)
 
-    if mode == "xor":
-        for i in range(n):
-            _cnot(u, i, scratch, i, trace)
-            _cnot(v, i, scratch, i, trace)
-    else:
-        for i in range(n):
-            _ccnot(u, i, v, i, scratch, i, trace)
-    _not_all(scratch, ones, trace)
-    for i in range(n):
-        _ccnot(scratch, i, chain, i, chain, i + 1, trace)
-    _cnot(chain, n, flag_reg, flag_idx, trace)
-    for i in reversed(range(n)):
-        _ccnot(scratch, i, chain, i, chain, i + 1, trace)
-    _not_all(scratch, ones, trace)
-    if mode == "xor":
-        for i in reversed(range(n)):
-            _cnot(v, i, scratch, i, trace)
-            _cnot(u, i, scratch, i, trace)
-    else:
-        for i in reversed(range(n)):
-            _ccnot(u, i, v, i, scratch, i, trace)
+    def rec(op: str, operands, before: int, after: int) -> bool:
+        # hands one gate to the trace; returns whether the trace still records
+        trace.record(op, operands, before, after)
+        return not trace.truncated
 
-    if any(scratch._bits) or any(chain._bits[1:]):
-        raise AssertionError(f"comparator scratch not uncomputed for {scratch.name}")
-    return chain._bits[0]
+    up, down = range(n), range(n - 1, -1, -1)
+    for step, order in ((0, up), (1, up), (2, up), (3, up), (2, down), (1, up), (0, down)):
+        if step == 0 and xor:  # scratch ^= u, then ^= v; the mirror undoes v first
+            (a, an), (b, bn) = ((u, un), (v, vn)) if order is up else ((v, vn), (u, un))
+            for i in order:
+                s[i] ^= a[i]
+                if live:
+                    live = rec("cnot", ((an, i), (sn, i)), s[i] ^ a[i], s[i])
+                s[i] ^= b[i]
+                if live:
+                    live = rec("cnot", ((bn, i), (sn, i)), s[i] ^ b[i], s[i])
+        elif step == 0:  # scratch ^= u AND v
+            for i in order:
+                s[i] ^= u[i] & v[i]
+                if live:
+                    live = rec("ccnot", ((un, i), (vn, i), (sn, i)), s[i] ^ (u[i] & v[i]), s[i])
+        elif step == 1:  # NOT on every scratch position
+            for i in order:
+                s[i] ^= ones
+                if live:
+                    live = rec("not", ((sn, i),), s[i] ^ ones, s[i])
+        elif step == 2:  # the AND chain seeded by the ancilla
+            for i in order:
+                c[i + 1] ^= s[i] & c[i]
+                if live:
+                    live = rec("ccnot", ((sn, i), (cn, i), (cn, i + 1)), c[i + 1] ^ (s[i] & c[i]), c[i + 1])
+        else:  # the flag flips off the chain's end
+            flag ^= c[n]
+            if live:
+                live = rec("cnot", ((cn, n), (fn, fi)), flag ^ c[n], flag)
+
+    if any(s) or any(c[1:]):
+        raise AssertionError(f"comparator scratch not uncomputed for cmp{uid}.scratch")
+    if trace is not None:
+        per_gate = getattr(trace, "per_gate", 1)
+        totals = {"cnot": 4 * n + 1, "not": 2 * n, "ccnot": 2 * n} if xor else {"ccnot": 4 * n, "not": 2 * n, "cnot": 1}
+        for op, total in totals.items():  # less what record() tallied
+            trace.tally[op] += total * per_gate - (trace.tally[op] - seen.get(op, 0))
+    return flag, c[0]
 
 
-def _as_register(bits_or_reg, name: str) -> BitRegister:
-    if isinstance(bits_or_reg, BitRegister):
-        return bits_or_reg
-    return BitRegister(name, bits_or_reg)
+def _compare(mode: str, names: tuple[str, str, str], u, v, ancilla: int, flag: int, trace) -> tuple[int, int]:
+    """One comparator on plain bits, registers named by ``names`` (a prefix, u's, v's); returns (flag, ancilla)."""
+    pfx, u_name, v_name = names
+    uid = next(_fresh)
+    u_reg = u if isinstance(u, BitRegister) else BitRegister(f"{pfx}{uid}.{u_name}", u)
+    v_reg = v if isinstance(v, BitRegister) else BitRegister(f"{pfx}{uid}.{v_name}", v)
+    regs = (u_reg.name, v_reg.name, f"{pfx}{uid}.flag", 0)
+    flag = _check_bit(flag, "flag")
+    return _comparator_apply(mode, u_reg._bits, v_reg._bits, _check_bit(ancilla, "ancilla"), flag, 1, trace, regs)
 
 
 def gate_identity(u, v, ancilla: int = 1, flag: int = 1, trace: GateTrace | None = None) -> tuple[int, int]:
@@ -375,14 +371,7 @@ def gate_identity(u, v, ancilla: int = 1, flag: int = 1, trace: GateTrace | None
     registers are equal and 1 when they differ.  Returns (flag, ancilla);
     the ancilla always comes back restored.
     """
-    uid = next(_fresh)
-    u_reg = _as_register(u, f"id{uid}.u")
-    v_reg = _as_register(v, f"id{uid}.v")
-    flag_reg = BitRegister(f"id{uid}.flag", [_check_bit(flag, "flag")])
-    ancilla_out = _comparator_apply(
-        "xor", u_reg, v_reg, _check_bit(ancilla, "ancilla"), flag_reg, 0, 1, trace
-    )
-    return flag_reg[0], ancilla_out
+    return _compare("xor", ("id", "u", "v"), u, v, ancilla, flag, trace)
 
 
 def gate_inclusion(mask, d, ancilla: int = 1, flag: int = 0, trace: GateTrace | None = None) -> tuple[int, int]:
@@ -392,14 +381,7 @@ def gate_inclusion(mask, d, ancilla: int = 1, flag: int = 0, trace: GateTrace | 
     when an exemplar with difference vector ``d`` lies in the supracontext
     selected by ``mask``.  Returns (flag, ancilla).
     """
-    uid = next(_fresh)
-    mask_reg = _as_register(mask, f"incl{uid}.mask")
-    d_reg = _as_register(d, f"incl{uid}.d")
-    flag_reg = BitRegister(f"incl{uid}.flag", [_check_bit(flag, "flag")])
-    ancilla_out = _comparator_apply(
-        "and", mask_reg, d_reg, _check_bit(ancilla, "ancilla"), flag_reg, 0, 1, trace
-    )
-    return flag_reg[0], ancilla_out
+    return _compare("and", ("incl", "mask", "d"), mask, d, ancilla, flag, trace)
 
 
 def gate_inclusion_inverse(mask, d, ancilla: int, flag: int, trace: GateTrace | None = None) -> tuple[int, int]:
@@ -418,10 +400,12 @@ def gate_inclusion_inverse(mask, d, ancilla: int, flag: int, trace: GateTrace | 
 # step on every mask at once; the public builders below run the same step on
 # a single lane.
 
-def _pack_lanes(bits) -> list[int]:
+def _pack_lanes(bits: np.ndarray) -> list[int]:
     """Pack a (lanes, k) 0/1 array into k lane words, bit l of word i holding entry (l, i)."""
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8).T, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    packed = np.packbits(bits, axis=0, bitorder="little")
+    size = 8 * len(packed)  # bits per word
+    words = int.from_bytes(packed.T.tobytes(), "little")
+    return [words >> size * i & (1 << size) - 1 for i in range(bits.shape[1])]
 
 
 def _unpack_blocks(rows: np.ndarray, lanes: int) -> np.ndarray:
@@ -429,9 +413,14 @@ def _unpack_blocks(rows: np.ndarray, lanes: int) -> np.ndarray:
     return np.unpackbits(rows, axis=-1, count=lanes, bitorder="little")
 
 
-def _bit_rows(values: np.ndarray, width: int) -> list[list[int]]:
-    """Each value's ``width`` bits, most significant first, as :func:`int_to_bits` gives them."""
-    return ((values[:, None] >> np.arange(width - 1, -1, -1)) & 1).tolist()
+def _bit_array(values: np.ndarray, width: int) -> np.ndarray:
+    """Each value's ``width`` bits, most significant first, as :func:`int_to_bits` gives them, one row per value."""
+    return (values[:, None] >> np.arange(width - 1, -1, -1) & 1).astype(np.uint8)
+
+
+def _repunit(count: int, stride: int) -> int:
+    """The word with bits 0, stride, ..., (count - 1) * stride set."""
+    return ((1 << count * stride) - 1) // ((1 << stride) - 1)
 
 
 def _s_words(ints: np.ndarray, n: int) -> list[int]:
@@ -464,7 +453,7 @@ class _LaneTally:
     """Stands in for a truncated trace while the items left of a step run as lanes.
 
     Every item runs the same gates, so one gate on the lane words is one gate
-    per item: :meth:`record` adds it to the trace's tally that many times.
+    per item: the steps add each gate to the trace's tally ``per_gate`` times.
     """
 
     truncated = True
@@ -472,12 +461,6 @@ class _LaneTally:
     def __init__(self, trace: "GateTrace | _LaneTally", items: int):
         self.tally = trace.tally
         self.per_gate = items * getattr(trace, "per_gate", 1)
-
-    def track(self, reg) -> None:
-        pass
-
-    def record(self, op: str, operands, before: int, after: int) -> None:
-        self.tally[op] += self.per_gate
 
 
 def _run_items(count: int, run, trace: GateTrace | None) -> None:
@@ -490,29 +473,19 @@ def _run_items(count: int, run, trace: GateTrace | None) -> None:
     ``trace.tally`` once per item.
     """
     start = 0
-    while trace is not None and not trace.truncated and start < count:
+    while _recording(trace) and start < count:
         run(start, start + 1, trace)
         start += 1
     if start < count:
         run(start, count, None if trace is None else _LaneTally(trace, count - start))
 
 
-def _entry_lanes(reg: _Blocks, start: int, stop: int) -> _Lanes:
-    """Entries start..stop-1 of a one-lane block register as one word, lane i holding entry start + i."""
-    return _Lanes(reg.name, _pack_lanes(reg.rows[start:stop]), start)
-
-
-def _store_entries(reg: _Blocks, word: _Lanes, stop: int) -> None:
-    """Write the lanes of ``word`` back into entries offset..stop-1 of ``reg``; undoes :func:`_entry_lanes`."""
-    count = stop - word.offset
-    reg.rows[word.offset:stop, 0] = _unpack_blocks(_split(word[0], (count + 7) // 8, 1), count)[0]
-
-
 class _Blocks:
     """A named register of entries, each a block of B bytes holding the entry's L mask lanes.
 
-    ``rows`` is an (entries, B) uint8 array: lane l of entry k is bit l % 8 of
-    byte l // 8 of row k, and the bits from L up stay 0.
+    ``rows`` is an (entries, B) uint8 array, or an (entries, B / 8) uint64
+    array of the same bytes where a block is whole words: lane l of entry k
+    is bit l % 8 of byte l // 8 of row k, and the bits from L up stay 0.
     """
 
     __slots__ = ("name", "rows")
@@ -529,7 +502,8 @@ class _Blocks:
 
 def _block_words(blocks: np.ndarray) -> list[int]:
     """The lane word of every block of ``blocks``, whose last axis is the block."""
-    return [_word(b) for b in blocks.reshape(-1, blocks.shape[-1])]
+    data, size = blocks.tobytes(), blocks.shape[-1] * blocks.itemsize
+    return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
 
 
 def _xor_gates(op: str, operands, rows: np.ndarray, flip: np.ndarray, entries: Sequence[int], trace) -> None:
@@ -537,19 +511,22 @@ def _xor_gates(op: str, operands, rows: np.ndarray, flip: np.ndarray, entries: S
 
     The blocks of ``rows`` are a register's entries, or the items of a
     containment-scan window, whose ``entries`` is then its first entry.  A
-    trace records the gates in order, ``operands(k)`` naming entry k's
-    controls and target, with the target block's lane word before and after;
-    a truncated trace, or a :class:`_LaneTally` for every item, adds them to
-    its tally in one step.
+    recording trace takes the gates in order, ``operands(k)`` naming entry
+    k's controls and target, with the target block's lane word before and
+    after; the gates from its cut on, and all of them for a truncated trace
+    or a :class:`_LaneTally` for every item, go to its tally in one step.
     """
-    if trace is None or trace.truncated:
+    if not _recording(trace):
         rows ^= flip
         if trace is not None:
             trace.tally[op] += len(entries) * getattr(trace, "per_gate", 1)
         return
     before = _block_words(rows)
     rows ^= flip
-    for k, b, a in zip(entries, before, _block_words(rows)):
+    for i, (k, b, a) in enumerate(zip(entries, before, _block_words(rows))):
+        if trace.truncated:
+            trace.tally[op] += len(entries) - i
+            return
         trace.record(op, operands(k), b, a)
 
 
@@ -560,7 +537,7 @@ def _matrix_register(name: str, matrix, trace: GateTrace | None) -> tuple[_Block
         raise ValueError(f"expected a square bit matrix, got shape {arr.shape}")
     reg = _Blocks(name, _bit_column(name, arr))
     if trace is not None:
-        trace.track(reg)
+        trace.track(reg.name, reg.bits)
     return reg, arr.shape[0]
 
 
@@ -574,95 +551,114 @@ def _bit_column(name: str, arr: np.ndarray) -> np.ndarray:
 
 
 def _containment_scan(
-    s_reg: _Lanes,
-    d_regs: Sequence[_Lanes],
-    y_reg: _Lanes,
-    z_reg: _Lanes,
+    s_words: Sequence[int],
+    d_bits: np.ndarray,
+    y: int,
+    z: int,
     c2: _Blocks,
     ones: int,
-    trace: GateTrace | None,
+    trace,
+    names: tuple[str, str, str, str] = ("S", "D", "Y", "Z"),
 ) -> int:
     """Fill C2 via nested containment tests, uncomputing each test after use.
 
-    ``d_regs`` hold each exemplar's difference bits, shared by every lane.
+    ``s_words`` are S's lane words, row j - 1 of the (m, n) bit array
+    ``d_bits`` is exemplar j's difference vector D[j], shared by every lane,
+    and ``y`` and ``z`` are the Y and Z flags' lane words, which the tests
+    flip in copies.  ``names`` are S's, D's, Y's and Z's register names.
     C2(j, j') becomes 1 iff both difference vectors are in the supracontext.
     A window of rows j runs its Y tests as (j, mask) lanes.  The inner test
     of D[j'] into Z reads only S, D[j'] and Z and returns Z, so it is the
     same in every row: the window runs it once per j', as (j', mask) lanes,
     and each of its gates counts once per row (see the module docstring).
-    Each word is a run of blocks of ``size`` bytes, one block per exemplar,
+    Each word is a run of blocks of B bytes, one block per exemplar,
     holding its mask lanes, so a window's Toffolis into C2 flip the C2 rows
     of its (j, j') items.  Returns the word of lanes in which an ancilla or
-    either flag register did not come back to its preset (0 when every lane
-    is restored).
+    a copy of either flag did not come back to 0 (0 when every lane is
+    restored from presets of 0).
     """
-    m = len(d_regs)
+    m = len(d_bits)
     size = (ones.bit_length() + 7) // 8  # bytes per block of mask lanes
-    # d_blocks[i, b]: the block of exemplar b's difference bit i, ALL or 0
-    d_blocks = np.multiply.outer(np.array([d.bits for d in d_regs], np.uint8).T, _split(ones, size, 1)[0])
-    c2_grid = c2.rows.reshape(m, m, size)
+    s_name, d_name, y_name, z_name = names
+    # the scan's words of m blocks: S, Y, Z and ALL repeat one block, and D's
+    # word i holds ALL in block b where D[b + 1]'s bit i is set
+    s_tiles = [_tile(w, size, m) for w in s_words]
+    d_tiles = _block_words(np.multiply.outer(d_bits.T, _split(ones, size, 1)[0]).reshape(d_bits.shape[1], -1))
+    y_tile, z_tile, all_tile = (_tile(w, size, m) for w in (y, z, ones))
+    # the C2 rows' own words: bytes, or 64-bit words where a block is whole words
+    c2_grid, dtype = c2.rows.reshape(m, m, -1), c2.rows.dtype
     bad = 0
 
-    @cache
-    def tiled(start: int, stop: int) -> tuple[_Lanes, _Lanes, int]:
-        # blocks start..stop-1: S in every block, D[b] in block b
-        count = stop - start
-        s_t = _Lanes(s_reg.name, [_tile(w, size, count) for w in s_reg])
-        return s_t, _Lanes(d_regs[start].name, [_word(b) for b in d_blocks[:, start:stop]]), _tile(ones, size, count)
-
-    def test(reg: _Lanes, start: int, stop: int, trace) -> tuple[_Lanes, int]:
-        # the containment test of exemplars start..stop-1 into copies of reg; returns them and the bad lanes
-        s_t, d_t, all_t = tiled(start, stop)
-        flag = _Lanes(reg.name, [_tile(reg[0], size, stop - start)])
-        return flag, all_t ^ _comparator_apply("and", s_t, d_t, all_t, flag, 0, all_t, trace)
-
-    def untest(flag: _Lanes, bad_t: int, start: int, stop: int, trace) -> None:
-        # the same test again, which returns flag to its preset in every restored lane
-        nonlocal bad
-        s_t, d_t, all_t = tiled(start, stop)
-        bad_t |= all_t ^ _comparator_apply("and", s_t, d_t, all_t, flag, 0, all_t, trace)
-        # the OR of the blocks: a lane is bad if it is bad in any item
-        bad |= _word(np.bitwise_or.reduce(_split(bad_t | flag[0], size, stop - start)))
+    def test(flag: int, start: int, stop: int, name: str, trace) -> tuple[int, int]:
+        # the containment test of exemplars start..stop-1 into the copies of a flag
+        # in their blocks; returns the copies and the lanes whose ancilla missed ALL
+        s_t, d_t, all_t = s_tiles, d_tiles, all_tile
+        if stop - start < m:
+            all_t &= (1 << 8 * size * (stop - start)) - 1
+            s_t, d_t = [w & all_t for w in s_tiles], [w >> 8 * size * start & all_t for w in d_tiles]
+        regs = (s_name, f"{d_name}[{start + 1}]", name, 0)
+        flag, ancilla = _comparator_apply("and", s_t, d_t, all_t, flag & all_t, all_t, trace, regs)
+        return flag, all_t ^ ancilla
 
     def run_rows(first: int, last: int, trace) -> None:
-        y_t, bad_y = test(y_reg, first, last, trace)
-        y = _split(y_t[0], size, last - first)[:, None]
+        nonlocal bad
+        y_t, bad_y = test(y_tile, first, last, y_name, trace)
+        y_blocks = _split(y_t, size, last - first).view(dtype)[:, None]
 
         def run(start: int, stop: int, trace) -> None:
-            z_t, bad_z = test(z_reg, start, stop, trace)
+            nonlocal bad
+            z_t, bad_z = test(z_tile, start, stop, z_name, trace)
             # C2(j, j') ^= Y(j) AND Z(j'): block j of Y against block j' of Z
-            flip = y & _split(z_t[0], size, stop - start)
-            operands = lambda k: ((y_reg.name, 0), (z_reg.name, 0), (c2.name, k))
+            flip = y_blocks & _split(z_t, size, stop - start).view(dtype)
+            operands = lambda k: ((y_name, 0), (z_name, 0), (c2.name, k))
             _xor_gates("ccnot", operands, c2_grid[first:last, start:stop], flip, (first * m + start,), trace)
-            untest(z_t, bad_z, start, stop, trace)
+            # the same test again, which returns Z's copies to their preset in every restored lane
+            z_t, bad_again = test(z_t, start, stop, z_name, trace)
+            bad |= bad_z | bad_again | z_t
 
         _run_items(m, run, trace)
-        untest(y_t, bad_y, first, last, trace)
+        y_t, bad_again = test(y_t, first, last, y_name, trace)
+        bad |= bad_y | bad_again | y_t
 
     _run_items(m, run_rows, trace)
-    return bad
+    # a lane is bad if it is bad in any block
+    return _word(np.bitwise_or.reduce(_split(bad, size, m).view(dtype)))
 
 
-def _pair_array(regs: Sequence[_Lanes], out_reg: _Blocks, trace: GateTrace | None) -> None:
-    """Flip out(j, j') iff regs[j] == regs[j'], one comparator per ordered pair (V2 from D, W2 from O).
+def _pair_array(reg: str, out: str, bits: np.ndarray, trace: GateTrace | None) -> int:
+    """Register ``out`` (preset 1) after flipping entry (j, j') iff rows j and j' of ``bits`` are equal.
 
-    A window of pairs runs as the lanes of one comparator: lane k - start
-    carries pair k = j * m + j', with regs[j] as u, regs[j'] as v and
-    out(j, j') as the flag.
+    One comparator per ordered pair: V2 from D, W2 from O.  A window of
+    pairs runs as the lanes of one comparator: lane k - start carries pair
+    k = j * m + j', with register ``reg``'s row j as u, its row j' as v and
+    out(j, j') as the flag.  The result is a word whose bit k is entry k.
+    Bit i's v word over all m^2 pairs is column i of ``bits`` in every block
+    of m lanes, and its u word is bit j of the column in every lane of
+    block j; a window cuts its lanes from both.
     """
-    m = len(regs)
-    bits = np.array([r.bits for r in regs], dtype=np.uint8)
+    m = len(bits)
+    block, rows = (1 << m) - 1, _repunit(m, m)
+    # times a repunit of stride m - 1, bit j < m - 1 of a column lands on bits j + b * (m - 1),
+    # one per b < m: no two coincide, and b = j is bit j * m, the first lane of block j
+    spread = _repunit(m, m - 1) if m > 1 else 0
+    columns = _pack_lanes(bits)
+    v_words = [col * rows for col in columns]
+    u_words = [(((col & block >> 1) * spread & rows) | (col >> m - 1) << m * (m - 1)) * block for col in columns]
+    word = (1 << m * m) - 1
 
     def run(start: int, stop: int, trace) -> None:
-        pairs = np.arange(start, stop)
-        u = _Lanes(regs[start // m].name, _pack_lanes(bits[pairs // m]))
-        v = _Lanes(regs[start % m].name, _pack_lanes(bits[pairs % m]))
-        flag = _entry_lanes(out_reg, start, stop)
-        ones = (1 << len(pairs)) - 1
-        _comparator_apply("xor", u, v, ones, flag, 0, ones, trace)
-        _store_entries(out_reg, flag, stop)
+        nonlocal word
+        ones = (1 << stop - start) - 1
+        flag, u, v = word, u_words, v_words
+        if stop - start < m * m:
+            flag = word >> start & ones
+            u, v = ([w >> start & ones for w in words] for words in (u_words, v_words))
+        names = (f"{reg}[{start // m + 1}]", f"{reg}[{start % m + 1}]", out, start)
+        after, _ = _comparator_apply("xor", u, v, ones, flag, ones, trace, names)
+        word ^= (after ^ flag) << start
 
     _run_items(m * m, run, trace)
+    return word
 
 
 def _and_entries(a: _Blocks, b: _Blocks, out: _Blocks, trace: GateTrace | None) -> None:
@@ -689,11 +685,7 @@ def _sweep(h: _Blocks, f: _Blocks, trace: GateTrace | None, inverse: bool = Fals
         flip = (h.rows & f.rows[:-1])[::-1]
         _xor_gates("ccnot", operands, f.rows[:0:-1], flip, range(len(h.rows), 0, -1), trace)
     else:
-        # the prefix AND runs on 64-bit words where a block is whole words (n >= 6)
-        rows, first = h.rows, f.rows[0]
-        if rows.shape[1] % 8 == 0:
-            rows, first = rows.view(np.uint64), first.view(np.uint64)
-        flip = (np.bitwise_and.accumulate(rows, axis=0) & first).view(np.uint8)
+        flip = np.bitwise_and.accumulate(h.rows, axis=0) & f.rows[0]
         _xor_gates("ccnot", operands, f.rows[1:], flip, range(1, len(f.rows)), trace)
 
 
@@ -711,14 +703,15 @@ def build_containment_array(
     uid = next(_fresh)
     pfx = f"cont{uid}."
     s_reg = BitRegister(pfx + "S", mask)
-    d_regs = [BitRegister(f"{pfx}D[{j}]", bits) for j, bits in enumerate(_bit_rows(d_ints, ds.n), 1)]
-    y_reg = BitRegister.zeros(pfx + "Y", 1)
-    z_reg = BitRegister.zeros(pfx + "Z", 1)
+    d_bits = _bit_array(d_ints, ds.n)
     c2 = _Blocks(pfx + "C2", np.zeros((ds.m * ds.m, 1), np.uint8))
     if trace is not None:
-        for reg in (s_reg, *d_regs, y_reg, z_reg, c2):
-            trace.track(reg)
-    _containment_scan(s_reg, d_regs, y_reg, z_reg, c2, 1, trace)
+        trace.track(s_reg.name, s_reg.bits)
+        for j, row in enumerate(d_bits.tolist(), 1):
+            trace.track(f"{pfx}D[{j}]", row)
+        for name, bits in ((pfx + "Y", (0,)), (pfx + "Z", (0,)), (c2.name, c2.bits)):
+            trace.track(name, bits)
+    _containment_scan(s_reg._bits, d_bits, 0, 0, c2, 1, trace, (s_reg.name, pfx + "D", pfx + "Y", pfx + "Z"))
     return c2.rows.reshape(ds.m, ds.m)
 
 
@@ -731,7 +724,7 @@ def build_heterogeneity_array(c2, p2, trace: GateTrace | None = None) -> np.ndar
         raise ValueError(f"dimension mismatch: {m}x{m} vs {m2}x{m2}")
     h2 = _Blocks(f"het{uid}.H2", np.zeros((m * m, 1), np.uint8))
     if trace is not None:
-        trace.track(h2)
+        trace.track(h2.name, h2.bits)
     _and_entries(c2_reg, p2_reg, h2, trace)
     return h2.rows.reshape(m, m)
 
@@ -740,7 +733,7 @@ def _sweep_register(name: str, trigger: int, f: np.ndarray, trace: GateTrace | N
     """F as a one-lane block register: the trigger, then the m^2 entries of ``f``."""
     reg = _Blocks(name, np.vstack((np.array([[_check_bit(trigger, "trigger")]], np.uint8), _bit_column(name, f))))
     if trace is not None:
-        trace.track(reg)
+        trace.track(reg.name, reg.bits)
     return reg
 
 
@@ -781,8 +774,8 @@ def build_analogy_array(c2, homog_flag, trace: GateTrace | None = None) -> np.nd
     flag = _Blocks(f"ana{uid}.flag", np.array([[_check_bit(int(homog_flag), "flag")]], np.uint8))
     a2 = _Blocks(f"ana{uid}.A2", np.zeros((m * m, 1), np.uint8))
     if trace is not None:
-        trace.track(flag)
-        trace.track(a2)
+        trace.track(flag.name, flag.bits)
+        trace.track(a2.name, a2.bits)
     _analogy(c2_reg, flag, 0, a2, trace)
     return a2.rows.reshape(m, m)
 
@@ -827,10 +820,9 @@ class CircuitRun:
 
         Yields its int, its m x m C2 and H2, its flag, its A2 and its restored bit.
         """
-        m, n = len(self.p2), self.n
-        # iter_masks order one int at a time: per count, combinations of bit weights, highest first
-        weights = [1 << i for i in range(n - 1, -1, -1)]
-        for lane in (sum(w) for count in range(n, -1, -1) for w in itertools.combinations(weights, count)):
+        m = len(self.p2)
+        # one mask at a time: a table of 2^n mask ints would outweigh the lane read
+        for lane in map(bits_to_int, iter_masks(self.n)):
             bits = (self.blocks[:, lane >> 3] >> (lane & 7)) & 1
             c2, h2, a2 = bits[:-2].reshape(3, m, m)
             yield lane, c2, h2, bool(bits[-2]), a2, not bits[-1]
@@ -844,8 +836,8 @@ def _supracontext_circuits(
     pfx: str,
     s_words: Sequence[int],
     ones: int,
-    d_regs: Sequence[_Lanes],
-    p2_reg: _Blocks,
+    d_bits: np.ndarray,
+    p2: _Blocks,
     trace: GateTrace | None,
 ) -> np.ndarray:
     """Run the per-mask circuit once over the lanes of ``ones``, S holding ``s_words``.
@@ -853,34 +845,34 @@ def _supracontext_circuits(
     Per lane: C2 through nested containment tests, H2 = C2 AND P2, negate
     H2, sweep for the homogeneity flag, conditionally copy C2 into A2,
     then reverse the sweep and the negation so every scratch register
-    ends at its preset.  Registers are named ``pfx`` + their name.  Returns
-    one (3 * m * m + 2, B) array: the blocks of C2, H2 and A2, then the
-    flag block and the not-restored block.
+    ends at its preset.  Registers are named ``pfx`` + their name, and D's
+    rows are ``d_bits``.  Returns one (3 * m * m + 2, B) array: the blocks
+    of C2, H2 and A2, then the flag block and the not-restored block.
     """
-    m2 = len(p2_reg.rows)
+    m2 = len(p2.rows)
     size = (ones.bit_length() + 7) // 8
-    all_lanes = _split(ones, size, 1)[0]
-    out = np.zeros((3 * m2 + 2, size), np.uint8)
+    # the registers hold 64-bit words where a block is whole words (n >= 6)
+    all_lanes = _split(ones, size, 1)[0].view(np.uint64 if size % 8 == 0 else np.uint8)
+    out = np.zeros((3 * m2 + 2, len(all_lanes)), all_lanes.dtype)
     c2, h2, a2 = (_Blocks(pfx + name, out[i * m2:(i + 1) * m2]) for i, name in enumerate(("C2", "H2", "A2")))
-    f = _Blocks(pfx + "F", np.zeros((m2 + 1, size), np.uint8))
+    f = _Blocks(pfx + "F", np.zeros((m2 + 1, len(all_lanes)), all_lanes.dtype))
     f.rows[0] = all_lanes
-    s_reg = _Lanes(pfx + "S", s_words)
-    y_reg = _Lanes(pfx + "Y", [0])
-    z_reg = _Lanes(pfx + "Z", [0])
-    if trace is not None:
-        for reg in (s_reg, y_reg, z_reg, c2, h2, f, a2):
-            trace.track(reg)
+    if _recording(trace):
+        for name, bits in ((pfx + "S", s_words), (pfx + "Y", (0,)), (pfx + "Z", (0,))):
+            trace.track(name, bits)
+        for reg in (c2, h2, f, a2):
+            trace.track(reg.name, reg.bits)
 
-    bad = _containment_scan(s_reg, d_regs, y_reg, z_reg, c2, ones, trace)
-    _and_entries(c2, _Blocks(p2_reg.name, p2_reg.rows * all_lanes), h2, trace)
+    bad = _containment_scan(s_words, d_bits, 0, 0, c2, ones, trace, (pfx + "S", "D", pfx + "Y", pfx + "Z"))
+    _and_entries(c2, _Blocks(p2.name, p2.rows * all_lanes), h2, trace)
     _negate(h2, all_lanes, trace)
     _sweep(h2, f, trace)
     out[-2] = f.rows[m2]
     _analogy(c2, f, m2, a2, trace)
     _sweep(h2, f, trace, inverse=True)
     _negate(h2, all_lanes, trace)
-    out[-1] = _split(bad, size, 1)[0] | (f.rows[0] ^ all_lanes) | np.bitwise_or.reduce(f.rows[1:])
-    return out
+    out[-1] = _split(bad, size, 1)[0].view(out.dtype) | (f.rows[0] ^ all_lanes) | np.bitwise_or.reduce(f.rows[1:])
+    return out.view(np.uint8)
 
 
 def run_qam_circuit(
@@ -902,32 +894,32 @@ def run_qam_circuit(
     check_lattice_size(ds.n, n_cap)
     m = ds.m
     d_ints, outcomes = encode(ds, given)
+    d_bits = _bit_array(d_ints, ds.n)
     # each outcome's index in a fixed-width binary code, first appearance first
-    width = max(1, int(outcomes.max()).bit_length())
+    o_bits = _bit_array(outcomes, max(1, int(outcomes.max()).bit_length()))
+    if _recording(trace):
+        for reg, bits in (("D", d_bits), ("O", o_bits)):
+            for j, row in enumerate(bits.tolist(), 1):
+                trace.track(f"{reg}[{j}]", row)
+        for name, preset in (("V2", 1), ("W2", 1), ("P2", 0)):
+            trace.track(name, (preset,) * (m * m))
 
-    # the engine's own registers hold bits by construction, so they skip BitRegister's check
-    d_regs = [_Lanes(f"D[{j}]", bits) for j, bits in enumerate(_bit_rows(d_ints, ds.n), 1)]
-    o_regs = [_Lanes(f"O[{j}]", bits) for j, bits in enumerate(_bit_rows(outcomes, width), 1)]
-    v2_reg = _Blocks("V2", np.ones((m * m, 1), np.uint8))
-    w2_reg = _Blocks("W2", np.ones((m * m, 1), np.uint8))
-    p2_reg = _Blocks("P2", np.zeros((m * m, 1), np.uint8))
-    if trace is not None:
-        for reg in (*d_regs, *o_regs, v2_reg, w2_reg, p2_reg):
-            trace.track(reg)
-
-    _pair_array(d_regs, v2_reg, trace)
-    _pair_array(o_regs, w2_reg, trace)
-    _and_entries(v2_reg, w2_reg, p2_reg, trace)
+    v2, w2 = _pair_array("D", "V2", d_bits, trace), _pair_array("O", "W2", o_bits, trace)
+    # V2, W2 and P2 at its preset 0 as one-lane block registers, one row of m^2 entries each
+    size = (m * m + 7) // 8
+    pairs = _unpack_blocks(_split(v2 | w2 << 8 * size, size, 3), m * m)
+    v2, w2, p2 = (_Blocks(name, rows) for name, rows in zip(("V2", "W2", "P2"), pairs[:, :, None]))
+    _and_entries(v2, w2, p2, trace)
 
     lanes = 1 << ds.n
-    order = None if trace is None or trace.truncated else mask_ints(ds.n)
+    order = None if not _recording(trace) else mask_ints(ds.n)
     parts = []
 
     def run_masks(start: int, stop: int, trace: GateTrace | None) -> None:
         ones, first = (1 << (stop - start)) - 1, start if order is None else int(order[start])
         s_words = _lattice_s_words(ds.n) if order is None else _s_words(order[start:stop], ds.n)
         pfx = f"m{first:0{ds.n}b}."  # a window's registers are named after its first mask
-        parts.append((stop - start, _supracontext_circuits(pfx, s_words, ones, d_regs, p2_reg, trace)))
+        parts.append((stop - start, _supracontext_circuits(pfx, s_words, ones, d_bits, p2, trace)))
 
     _run_items(lanes, run_masks, trace)
     blocks = parts[0][1]
@@ -935,8 +927,7 @@ def run_qam_circuit(
         bits = np.empty((len(blocks), lanes), np.uint8)
         bits[:, order] = np.hstack([_unpack_blocks(out, count) for count, out in parts])
         blocks = np.packbits(bits, axis=1, bitorder="little")
-    v2, w2, p2 = (reg.rows.reshape(m, m) for reg in (v2_reg, w2_reg, p2_reg))
-    return CircuitRun(d_ints, v2, w2, p2, ds.n, blocks)
+    return CircuitRun(d_ints, *pairs.reshape(3, m, m), ds.n, blocks)
 
 
 def to_analogical_set(run: CircuitRun, ds: Dataset) -> AnalogicalSet:
@@ -953,12 +944,15 @@ def to_analogical_set(run: CircuitRun, ds: Dataset) -> AnalogicalSet:
         raise ValueError(
             f"circuit run is for {m} exemplars and {n} features, dataset has {ds.m} and {ds.n}"
         )
-    # every bit from lane L up is 0, so a block's popcount is its count of set lanes
-    columns = np.bitwise_count(run.blocks[2 * m * m:-2]).sum(axis=1, dtype=np.int64).reshape(m, m).sum(axis=0)
+    # every bit from lane L up is 0, so a block's popcount is its count of set
+    # lanes; it is counted over 64-bit words where the block is whole words
+    a2 = run.blocks[2 * m * m:-2]
+    a2 = a2.view(np.uint64) if a2.shape[1] % 8 == 0 else a2
+    columns = np.bitwise_count(a2).reshape(m, m, -1).sum(axis=(0, 2), dtype=np.int64)
     # float64 sums are exact here: a total past 2^53 needs more blocks than memory holds
     per_outcome = np.bincount(ds._codes.outcomes, columns, len(ds.outcome_order))
     counts = dict(zip(ds.outcome_order, per_outcome.astype(np.int64).tolist()))
-    homogeneous = _unpack_blocks(run.blocks[-2], 1 << n) == 1
+    homogeneous = _unpack_blocks(run.blocks[-2], 1 << n).view(bool)
     k = _unpack_blocks(run.blocks[: m * m : m + 1], 1 << n).sum(axis=0, dtype=np.min_scalar_type(m))
     return AnalogicalSet(
         verdicts=_LatticeVerdicts(ds, run.d, homogeneous, k),

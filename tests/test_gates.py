@@ -40,7 +40,7 @@ from analogical import (
 )
 from analogical import core, gates, homogeneity
 from analogical.core import mask_at, mask_ints
-from analogical.gates import CircuitRun, _Blocks, _containment_scan, _Lanes
+from analogical.gates import CircuitRun, _Blocks, _containment_scan
 from helpers import (
     EXPECTED_A2_ONES,
     EXPECTED_COUNTS,
@@ -394,19 +394,19 @@ def test_truncated_trace_runs_the_rest_untraced(worked):
 
 def test_truncated_trace_stops_recording_at_the_cut(worked):
     ds, given = worked
-    pair_trace = GateTrace()
-    gate_identity((0,) * ds.n, (1,) * ds.n, trace=pair_trace)
     full = GateTrace()
     run_qam_circuit(ds, given, trace=full)
-    pair_gates = len(pair_trace.steps)
-    pair_stage = next(i for i, s in enumerate(full.steps) if s.operands[0][0] == f"m{bits_to_str(mask_at(ds.n, 0))}.S")
-    mask_gates = (len(full.steps) - pair_stage) // 2 ** ds.n
-    cut = _CountingTrace(max_steps=10)
-    run = run_qam_circuit(ds, given, trace=cut)
-    # the first pair comparator finishes on the trace; every item after it runs as lanes
-    assert cut.calls == pair_gates < pair_gates + mask_gates
-    assert cut.tally == full.tally and sum(cut.tally.values()) == 16_044
-    assert _circuit_fields(run) == _circuit_fields(run_qam_circuit(ds, given))
+    untraced = _circuit_fields(run_qam_circuit(ds, given))
+    # in the first pair comparator, in the P2 loop and in mask 0's forward sweep
+    for max_steps, target in ((10, "cmp"), (1240, "P2"), (2980, f"m{bits_to_str(mask_at(ds.n, 0))}.F")):
+        assert full.steps[max_steps].operands[-1][0].startswith(target)
+        cut = _CountingTrace(max_steps=max_steps)
+        run = run_qam_circuit(ds, given, trace=cut)
+        # the gate after the cut truncates the trace; the rest of the running
+        # comparator or array loop, and every item after it, only add to the tally
+        assert cut.calls == max_steps + 1, target
+        assert cut.tally == full.tally and sum(cut.tally.values()) == 16_044
+        assert _circuit_fields(run) == untraced
 
 
 def test_truncated_trace_skips_the_array_loops_of_a_cut_mask(worked):
@@ -422,9 +422,9 @@ def test_truncated_trace_skips_the_array_loops_of_a_cut_mask(worked):
     cut = _CountingTrace(max_steps=cut_at)
     run = run_qam_circuit(ds, given, trace=cut)
     assert cut.truncated and len(cut.steps) == cut_at
-    # the rest of that Z test, then the Y test that closes row 1; mask 0's
-    # array loops only add to the tally
-    assert cut.calls == cut_at + (gates_per_test - 1) + gates_per_test
+    # the gate after the cut truncates the trace; the rest of that Z test,
+    # the Y test that closes row 1 and mask 0's array loops only add to the tally
+    assert cut.calls == cut_at + 1
     assert cut.tally == full.tally
     assert _circuit_fields(run) == _circuit_fields(run_qam_circuit(ds, given))
 
@@ -613,6 +613,62 @@ def test_random_datasets_match_traced_runs_and_the_fast_engine(instance):
     assert to_analogical_set(untraced, ds).outcome_counts == analogical_set(ds, given).outcome_counts
 
 
+@st.composite
+def _pair_lane_instances(draw):
+    """m = 1-20 exemplars drawn with repeats from a pool, n = 1-6 features, outcome codes 1-3 bits wide."""
+    m, n = draw(st.integers(1, 20)), draw(st.integers(1, 6))
+    context = st.tuples(*[st.sampled_from("ab")] * n)
+    labels = "pqrstuvw"[: draw(st.integers(1, 8))]
+    pool = draw(st.lists(st.tuples(context, st.sampled_from(labels)), min_size=1, max_size=m))
+    pairs = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=m, max_size=m))]
+    return Dataset.from_pairs(pairs), draw(context)
+
+
+@settings(max_examples=20, deadline=None)
+@hgiven(_pair_lane_instances(), st.data())
+def test_pair_and_scan_words_match_traced_runs_and_gate_identity(instance, data):
+    # V2 and W2 come from column words by arithmetic, over m^2 pair lanes (m^2
+    # not always whole bytes), and the scan's words from S and D's bit array:
+    # a traced run takes every pair, mask and row in windows of one item
+    ds, given = instance
+    m, n = ds.m, ds.n
+    fields = lambda run: [run.v2.tolist(), run.w2.tolist(), run.p2.tolist(), run.blocks.tolist()]
+    untraced = run_qam_circuit(ds, given)
+    full = _TallyTrace()
+    assert fields(run_qam_circuit(ds, given, trace=full)) == fields(untraced)
+    d, outcomes = core.encode(ds, given)
+    width = max(1, int(outcomes.max()).bit_length())
+    d_regs = [int_to_bits(int(v), n) for v in d]
+    o_regs = [int_to_bits(int(v), width) for v in outcomes]
+    for j, k in itertools.product(range(m), repeat=2):
+        assert untraced.v2[j, k] == gate_identity(d_regs[j], d_regs[k])[0]
+        assert untraced.w2[j, k] == gate_identity(o_regs[j], o_regs[k])[0]
+    # a cut inside V2, W2 or the first mask's scan: identity comparators of 8n + 1
+    # gates, containment tests of 6n + 1, and one Toffoli per entry
+    pairs = m * m * (8 * n + 1 + 8 * width + 1 + 1)
+    scan = 2 * m * (6 * n + 1) + m * m * (2 * (6 * n + 1) + 1)
+    cut = GateTrace(max_steps=data.draw(st.integers(0, pairs + scan - 1)))
+    assert fields(run_qam_circuit(ds, given, trace=cut)) == fields(untraced)
+    assert cut.truncated and cut.tally == full.tally
+
+
+def test_untraced_run_builds_as_many_registers_at_any_m(monkeypatch):
+    # D and O are bit arrays and the comparators' registers lists of words,
+    # so no register object is built per exemplar
+    built = []
+    for cls in [c for c in vars(gates).values() if isinstance(c, type) and "name" in getattr(c, "__slots__", ())]:
+        init = lambda self, *args, _init=cls.__init__: built.append(type(self).__name__) or _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", init)
+    counts = []
+    for m in (6, 60):
+        rng = random.Random(m)
+        ds = Dataset.from_pairs([(tuple(rng.choice("ab") for _ in range(4)), rng.choice("xyz")) for _ in range(m)])
+        built.clear()
+        run_qam_circuit(ds, tuple(rng.choice("ab") for _ in range(4)))
+        counts.append(len(built))
+    assert built and counts[0] == counts[1]
+
+
 @pytest.mark.parametrize("n, m", [(1, 12), (2, 9), (3, 12), (5, 8), (6, 5), (7, 3), (9, 4)])
 def test_blocks_keep_padding_lanes_clear(n, m):
     # L = 2^n lanes in blocks of B = ceil(L / 8) bytes: a partial byte for
@@ -686,21 +742,21 @@ def test_lanes_restore_every_ancilla():
 def test_restoration_check_is_per_lane():
     # three masks over one feature; only lane 1 starts with its Y flag set,
     # so only lane 1 can report a flag that did not return to its preset
-    s_reg = _Lanes("S", [0b101])
-    d_regs = [_Lanes("D", [0])]
-    y_reg, z_reg, c2_reg = _Lanes("Y", [0b010]), _Lanes("Z", [0]), _Blocks("C2", np.zeros((1, 1), np.uint8))
-    bad = _containment_scan(s_reg, d_regs, y_reg, z_reg, c2_reg, 0b111, None)
+    d_bits = np.array([[0]], np.uint8)
+    c2_reg = _Blocks("C2", np.zeros((1, 1), np.uint8))
+    bad = _containment_scan([0b101], d_bits, 0b010, 0, c2_reg, 0b111, None)
     assert bad == 0b010
 
 
 def test_containment_lanes_match_the_serial_loop_off_preset():
     # lane 2 starts with Z set, so Z is off its preset after every test there
     def scan(trace):
-        s_reg, y_reg, z_reg = _Lanes("S", [0b101, 0b011]), _Lanes("Y", [0]), _Lanes("Z", [0b100])
+        s_words, y, z = [0b101, 0b011], 0, 0b100
         c2_reg = _Blocks("C2", np.zeros((4, 1), np.uint8))
-        d_regs = [_Lanes("D[1]", [0, 1]), _Lanes("D[2]", [0, 0])]
-        bad = _containment_scan(s_reg, d_regs, y_reg, z_reg, c2_reg, 0b111, trace)
-        return bad, c2_reg.bits, y_reg.bits, z_reg.bits
+        d_bits = np.array([[0, 1], [0, 0]], np.uint8)  # D[1] and D[2]
+        bad = _containment_scan(s_words, d_bits, y, z, c2_reg, 0b111, trace)
+        # the scan tests copies of Y and Z, so their words are what they were
+        return bad, c2_reg.bits, y, z
 
     trace = _TallyTrace()
     assert scan(None) == scan(trace)
