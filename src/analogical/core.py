@@ -21,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from importlib.resources import files
-from itertools import chain, combinations, count
+from itertools import chain, count
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -300,39 +300,45 @@ def str_to_bits(text: str) -> Bits:
     return tuple(int(c) for c in text)
 
 
+def _mask_chunks(n: int) -> Iterator[np.ndarray]:
+    """The :func:`iter_masks` order in arrays of at most C(12, 6) = 924 mask ints, of the narrowest unsigned type.
+
+    Per selected count, most first, and per high part above the low ``min(n, 12)`` bits,
+    descending: that part over each low part holding the rest of the count, descending.
+    """
+    if n < 0:
+        raise ValueError(f"a mask lattice needs 0 or more variables, got n = {n}")
+    low = min(n, 12)
+    values = np.arange((1 << low) - 1, -1, -1, dtype=np.min_scalar_type((1 << n) - 1))
+    table = [values[np.bitwise_count(values) == rest] for rest in range(low + 1)]
+    return (
+        high << low | table[selected - high.bit_count()]
+        for selected in range(n, -1, -1)
+        for high in range((1 << n - low) - 1, -1, -1)
+        if 0 <= selected - high.bit_count() <= low
+    )
+
+
 def iter_masks(n: int) -> Iterator[Bits]:
     """All 2^n supracontext masks, most specific first.
 
     Ordered by descending count of selected variables, ties by descending
     binary value; for n=3 this yields 111, 110, 101, 011, 100, 010, 001, 000.
-    Lexicographic combinations of bit positions (leftmost first) give the
-    descending binary values within one count.
     """
-    for selected in range(n, -1, -1):
-        for positions in combinations(range(n), selected):
-            bits = [0] * n
-            for i in positions:
-                bits[i] = 1
-            yield tuple(bits)
+    chunks, shifts = _mask_chunks(n), np.arange(n - 1, -1, -1)
+    # a chunk's bits at once, as int_to_bits gives one mask's
+    return (tuple(bits) for chunk in chunks for bits in (chunk[:, None] >> shifts & 1).tolist())
 
 
 def mask_ints(n: int) -> np.ndarray:
-    """The masks of :func:`iter_masks`, in its order, as :func:`bits_to_int` packs them.
-
-    Per selected count, most first, the values of that count in descending
-    order; no mask tuple is built, and the ints take the narrowest unsigned type.
-    """
-    top = (1 << n) - 1
-    # i keyed by its popcount above its n bits sorts by count, then i: masks top - i in order
-    keys = np.arange(top + 1, dtype=np.min_scalar_type((n + 1) << n))
-    keys |= np.left_shift(np.bitwise_count(keys), n, dtype=keys.dtype)
-    keys.sort()
-    keys &= top
-    return np.subtract(top, keys, out=keys).astype(np.min_scalar_type(top), copy=False)
+    """The masks of :func:`iter_masks`, in its order, as :func:`bits_to_int` packs them, in one array."""
+    return np.concatenate(list(_mask_chunks(n)))
 
 
 def mask_at(n: int, index: int) -> Bits:
     """The mask at position ``index`` of :func:`iter_masks`, without walking to it."""
+    if n < 0:
+        raise ValueError(f"a mask lattice needs 0 or more variables, got n = {n}")
     if not 0 <= index < 1 << n:
         raise IndexError(f"mask index {index} out of range for {n} variables")
     selected = n

@@ -89,10 +89,10 @@ register's indices, so every recorded step is the one the serial circuit
 applies.  From the step that truncates the trace on, gates only add to
 ``trace.tally``: the rest of the running comparator or array loop in one
 step per op, and the items left in one window as an untraced run would
-run them, each gate once per item.  Only a run whose trace records when
-the masks start takes them in :func:`iter_masks` order, and its windows'
-outputs go to their masks' lanes; any other run takes every mask in one
-window.  Results do not depend on the lane width.
+run them, each gate once per item.  Every run takes all masks in one
+window, tallied once per mask left, after the masks that ran alone, in
+:func:`iter_masks` order, while the trace recorded; each of those must
+read the same in its lane.  Results do not depend on the lane width.
 
 Matrix registers are kept flat in row-major order: entry (j, j') of an
 m x m array lives at position k = (j - 1) * m + j', with j, j' and k
@@ -116,13 +116,11 @@ from .core import (
     DEFAULT_N_CAP,
     Bits,
     Dataset,
-    bits_to_int,
+    _mask_chunks,
     bits_to_str,
     check_lattice_size,
     encode,
     int_to_bits,
-    iter_masks,
-    mask_ints,
 )
 from .homogeneity import AnalogicalSet, _LatticeVerdicts
 
@@ -423,15 +421,11 @@ def _repunit(count: int, stride: int) -> int:
     return ((1 << count * stride) - 1) // ((1 << stride) - 1)
 
 
-def _s_words(ints: np.ndarray, n: int) -> list[int]:
-    """S over one lane per mask int of ``ints``: word i holds each mask's bit i, most significant first."""
-    return [_word(np.packbits(ints & (1 << (n - 1 - i)), bitorder="little")) for i in range(n)]
-
-
 @cache
 def _lattice_s_words(n: int) -> tuple[int, ...]:
-    """S over all 2^n masks, lane l running mask int l: n words of 2^n bits, built once per n."""
-    return tuple(_s_words(np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1)), n))
+    """S over all 2^n masks, lane l running mask int l: word i holds every mask's bit i, most significant first."""
+    lanes = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    return tuple(_word(np.packbits(lanes & (1 << (n - 1 - i)), bitorder="little")) for i in range(n))
 
 
 def _tile(word: int, size: int, count: int) -> int:
@@ -821,8 +815,8 @@ class CircuitRun:
         Yields its int, its m x m C2 and H2, its flag, its A2 and its restored bit.
         """
         m = len(self.p2)
-        # one mask at a time: a table of 2^n mask ints would outweigh the lane read
-        for lane in map(bits_to_int, iter_masks(self.n)):
+        # a chunk of mask ints at a time: a table of 2^n of them would outweigh the lane read
+        for lane in itertools.chain.from_iterable(map(np.ndarray.tolist, _mask_chunks(self.n))):
             bits = (self.blocks[:, lane >> 3] >> (lane & 7)) & 1
             c2, h2, a2 = bits[:-2].reshape(3, m, m)
             yield lane, c2, h2, bool(bits[-2]), a2, not bits[-1]
@@ -890,6 +884,8 @@ def run_qam_circuit(
     item of the same code, masks in :func:`iter_masks` order, so the trace
     records every gate on plain bits, until it is truncated: the items left
     then run as one window with no trace, and ``trace.tally`` adds theirs.
+    All masks then run in one window, lane l running mask int l: raises
+    ``AssertionError`` if a mask that ran alone reads otherwise there.
     """
     check_lattice_size(ds.n, n_cap)
     m = ds.m
@@ -911,22 +907,19 @@ def run_qam_circuit(
     v2, w2, p2 = (_Blocks(name, rows) for name, rows in zip(("V2", "W2", "P2"), pairs[:, :, None]))
     _and_entries(v2, w2, p2, trace)
 
-    lanes = 1 << ds.n
-    order = None if not _recording(trace) else mask_ints(ds.n)
-    parts = []
-
-    def run_masks(start: int, stop: int, trace: GateTrace | None) -> None:
-        ones, first = (1 << (stop - start)) - 1, start if order is None else int(order[start])
-        s_words = _lattice_s_words(ds.n) if order is None else _s_words(order[start:stop], ds.n)
-        pfx = f"m{first:0{ds.n}b}."  # a window's registers are named after its first mask
-        parts.append((stop - start, _supracontext_circuits(pfx, s_words, ones, d_bits, p2, trace)))
-
-    _run_items(lanes, run_masks, trace)
-    blocks = parts[0][1]
-    if order is not None:  # the windows ran in iter_masks order: their lanes go to the masks'
-        bits = np.empty((len(blocks), lanes), np.uint8)
-        bits[:, order] = np.hstack([_unpack_blocks(out, count) for count, out in parts])
-        blocks = np.packbits(bits, axis=1, bitorder="little")
+    recorded = []  # (mask int, its blocks) for each mask that ran in a lane of its own
+    if _recording(trace):  # while the trace records, the masks run one lane each, named after them
+        for lane in itertools.chain.from_iterable(map(np.ndarray.tolist, _mask_chunks(ds.n))):
+            pfx = f"m{lane:0{ds.n}b}."
+            recorded.append((lane, _supracontext_circuits(pfx, int_to_bits(lane, ds.n), 1, d_bits, p2, trace)))
+            if not _recording(trace):
+                break
+    # then every mask runs in one window, its gates tallied once per mask that did not run alone
+    tally = None if trace is None else _LaneTally(trace, (1 << ds.n) - len(recorded))
+    blocks = _supracontext_circuits("m.", _lattice_s_words(ds.n), (1 << (1 << ds.n)) - 1, d_bits, p2, tally)
+    for lane, out in recorded:
+        if not np.array_equal(out[:, 0], blocks[:, lane >> 3] >> (lane & 7) & 1):
+            raise AssertionError(f"mask {lane:0{ds.n}b} ran differently in its own lane and in the lattice window")
     return CircuitRun(d_ints, *pairs.reshape(3, m, m), ds.n, blocks)
 
 

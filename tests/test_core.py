@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given as hgiven
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ from analogical import (
     serialize_dataset,
     str_to_bits,
 )
-from analogical.core import encode, mask_at, mask_ints
+from analogical.core import _mask_chunks, encode, mask_at, mask_ints
 from helpers import EXPECTED_D
 
 
@@ -344,21 +345,36 @@ def test_mask_at_matches_iter_masks(n):
             mask_at(n, bad)
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(17))
 def test_mask_ints_match_iter_masks(n):
-    assert mask_ints(n).tolist() == [bits_to_int(mask) for mask in iter_masks(n)]
+    # the order iter_masks documents, pinned by its sort key and by mask_at,
+    # not by the generator that mask_ints and iter_masks share; from n = 13 a
+    # mask has a high part above its 12 low bits, and the chunks still join in order
+    chunks = list(_mask_chunks(n))
+    assert all(chunk.dtype == np.min_scalar_type(2**n - 1) and 0 < len(chunk) <= 924 for chunk in chunks)
+    order = np.concatenate(chunks).tolist()
+    assert order == sorted(range(2**n), key=lambda v: (-v.bit_count(), -v))
+    assert order == [bits_to_int(mask_at(n, i)) for i in range(2**n)]
+    assert mask_ints(n).tolist() == order and mask_ints(n).dtype == chunks[0].dtype
+
+
+def test_mask_functions_name_a_negative_n():
+    for call in (iter_masks, mask_ints, lambda n: mask_at(n, 0)):
+        with pytest.raises(ValueError, match="n = -1"):
+            call(-1)
 
 
 def test_mask_ints_peak_stays_near_its_result():
-    # the result, one popcount byte per mask, and one count's positions at a time
-    mask_ints(18)
-    tracemalloc.start()
-    try:
-        masks = mask_ints(18)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * masks.nbytes, (peak, masks.nbytes)
+    # the result and its chunks, which are joined once
+    for n in (16, 18):
+        mask_ints(n)
+        tracemalloc.start()
+        try:
+            masks = mask_ints(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * masks.nbytes, (n, peak, masks.nbytes)
 
 
 @hgiven(st.integers(min_value=1, max_value=16).flatmap(

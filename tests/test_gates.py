@@ -717,10 +717,12 @@ def test_runs_build_no_mask_table(monkeypatch, cut):
     expected = predict_distribution(analogical_set(ds, given))  # also builds the dataset's codes
 
     def refuse(n):
-        raise AssertionError("iter_masks called")
+        raise AssertionError("the mask order walked")
 
     for module in (core, homogeneity):  # where it is defined, and the one module that imports it
         monkeypatch.setattr(module, "iter_masks", refuse)
+    for module in (core, gates):  # the generator behind it, and the module that imports that
+        monkeypatch.setattr(module, "_mask_chunks", refuse)
     trace = GateTrace(max_steps=0) if cut else None
     tracemalloc.start()
     try:
@@ -730,6 +732,50 @@ def test_runs_build_no_mask_table(monkeypatch, cut):
         tracemalloc.stop()
     assert dist == expected
     assert peak < 1 << 20
+
+
+def test_a_cut_inside_the_masks_costs_the_memory_of_an_untraced_run():
+    # the masks that ran alone keep a column of outputs each, and the rest
+    # run in the lattice's one window: no 2^n order array, and no scatter
+    rng = random.Random(8)
+    m, n = 8, 14
+    ds = Dataset.from_pairs([(tuple(rng.choice("ab") for _ in range(n)), rng.choice("xyz")) for _ in range(m)])
+    given = tuple(rng.choice("ab") for _ in range(n))
+    width = max(1, int(core.encode(ds, given)[1].max()).bit_length())
+    pairs = m * m * (8 * n + 1 + 8 * width + 1 + 1)  # the gates of V2, W2 and P2
+
+    def peak(trace):
+        tracemalloc.start()
+        try:
+            run_qam_circuit(ds, given, trace=trace)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_qam_circuit(ds, given)  # builds the dataset's codes and the lattice's S words
+    untraced = peak(None)
+    cut = _CutTrace(max_steps=pairs + 30_000)
+    traced = peak(cut)
+    alone = {name.split(".")[0] for name in cut.initial if name.startswith("m")}
+    assert cut.truncated and len(alone) == 3, alone
+    assert traced <= 1.5 * untraced, (traced, untraced)
+
+
+def test_a_mask_that_reads_otherwise_alone_fails_the_run(worked, monkeypatch):
+    ds, given = worked
+    circuits = gates._supracontext_circuits
+
+    def flip_one_lane_flags(pfx, s_words, ones, *args):
+        out = circuits(pfx, s_words, ones, *args)
+        if ones == 1:  # a mask run in a lane of its own
+            out[-2, 0] ^= 1
+        return out
+
+    monkeypatch.setattr(gates, "_supracontext_circuits", flip_one_lane_flags)
+    with pytest.raises(AssertionError, match=f"mask {bits_to_str(mask_at(ds.n, 0))} ran differently"):
+        run_qam_circuit(ds, given, trace=GateTrace())
+    # untraced, no mask runs alone
+    assert to_analogical_set(run_qam_circuit(ds, given), ds).outcome_counts == EXPECTED_COUNTS
 
 
 def test_lanes_restore_every_ancilla():
