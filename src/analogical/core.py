@@ -174,8 +174,6 @@ def parse_dataset(text: str) -> Dataset:
             )
         outcome = outcome.strip()
         features = tuple(feature_part.split())
-        if not outcome or not features:
-            raise DatasetFormatError(f"line {lineno}: missing outcome or features")
         if n is None:
             n = len(features)
         elif len(features) != n:

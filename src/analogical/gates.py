@@ -140,10 +140,6 @@ class BitRegister:
             checked.append(int(b))
         self.name, self._bits = name, checked
 
-    @classmethod
-    def zeros(cls, name: str, length: int) -> "BitRegister":
-        return cls(name, [0] * length)
-
     @property
     def bits(self) -> Bits:
         return tuple(self._bits)
@@ -395,8 +391,8 @@ def gate_inclusion_inverse(mask, d, ancilla: int, flag: int, trace: GateTrace | 
 # --- circuit steps ------------------------------------------------------------
 #
 # One register-level implementation per step.  The full pipeline runs each
-# step on every mask at once; the public builders below run the same step on
-# a single lane.
+# step on every mask at once; the public builders below run it on one lane,
+# on registers that :func:`_register` makes from their bits and tracks.
 
 def _pack_lanes(bits: np.ndarray) -> list[int]:
     """Pack a (lanes, k) 0/1 array into k lane words, bit l of word i holding entry (l, i)."""
@@ -522,26 +518,6 @@ def _xor_gates(op: str, operands, rows: np.ndarray, flip: np.ndarray, entries: S
             trace.tally[op] += len(entries) - i
             return
         trace.record(op, operands(k), b, a)
-
-
-def _matrix_register(name: str, matrix, trace: GateTrace | None) -> tuple[_Blocks, int]:
-    """A square 0/1 matrix as a one-lane block register, entries in row-major order."""
-    arr = np.asarray(matrix)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square bit matrix, got shape {arr.shape}")
-    reg = _Blocks(name, _bit_column(name, arr))
-    if trace is not None:
-        trace.track(reg.name, reg.bits)
-    return reg, arr.shape[0]
-
-
-def _bit_column(name: str, arr: np.ndarray) -> np.ndarray:
-    """``arr``'s entries in row-major order as an (entries, 1) uint8 array; raises unless each is 0 or 1."""
-    flat = arr.reshape(-1)
-    stray = flat[(flat != 0) & (flat != 1)]
-    if stray.size:
-        raise ValueError(f"register {name!r}: bit value {stray[0].item()!r} is not 0 or 1")
-    return flat.astype(np.uint8).reshape(-1, 1)
 
 
 def _containment_scan(
@@ -689,46 +665,51 @@ def _analogy(c2: _Blocks, flag: _Blocks, flag_idx: int, a2: _Blocks, trace: Gate
     _xor_gates("ccnot", operands, a2.rows, c2.rows & flag.rows[flag_idx], range(len(a2.rows)), trace)
 
 
+def _register(name: str, bits, trace: GateTrace | None) -> _Blocks:
+    """A one-lane register of the caller's ``bits``, entries in row-major order; raises unless each is 0 or 1."""
+    flat = np.ravel(bits)
+    stray = flat[(flat != 0) & (flat != 1)]
+    if stray.size:
+        raise ValueError(f"register {name!r}: bit value {stray[0].item()!r} is not 0 or 1")
+    reg = _Blocks(name, flat.astype(np.uint8).reshape(-1, 1))
+    if trace is not None:
+        trace.track(name, reg.bits)
+    return reg
+
+
+def _side(matrix) -> int:
+    """The side of a square matrix; raises unless ``matrix`` is one."""
+    shape = np.shape(matrix)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square bit matrix, got shape {shape}")
+    return shape[0]
+
+
 def build_containment_array(
     ds: Dataset, given: Sequence[str], mask: Sequence[int], trace: GateTrace | None = None
 ) -> np.ndarray:
     """C2 for one supracontext: C2(j, j') = contained(j) AND contained(j')."""
     d_ints, _ = encode(ds, given)
-    uid = next(_fresh)
-    pfx = f"cont{uid}."
-    s_reg = BitRegister(pfx + "S", mask)
+    pfx = f"cont{next(_fresh)}."
+    s = _register(pfx + "S", mask, trace)
     d_bits = _bit_array(d_ints, ds.n)
-    c2 = _Blocks(pfx + "C2", np.zeros((ds.m * ds.m, 1), np.uint8))
-    if trace is not None:
-        trace.track(s_reg.name, s_reg.bits)
-        for j, row in enumerate(d_bits.tolist(), 1):
-            trace.track(f"{pfx}D[{j}]", row)
-        for name, bits in ((pfx + "Y", (0,)), (pfx + "Z", (0,)), (c2.name, c2.bits)):
-            trace.track(name, bits)
-    _containment_scan(s_reg._bits, d_bits, 0, 0, c2, 1, trace, (s_reg.name, pfx + "D", pfx + "Y", pfx + "Z"))
+    for j, row in enumerate(d_bits, 1):
+        _register(f"{pfx}D[{j}]", row, trace)
+    y, z, c2 = (_register(pfx + name, [0] * size, trace) for name, size in (("Y", 1), ("Z", 1), ("C2", ds.m * ds.m)))
+    _containment_scan(s.bits, d_bits, 0, 0, c2, 1, trace, (s.name, pfx + "D", y.name, z.name))
     return c2.rows.reshape(ds.m, ds.m)
 
 
 def build_heterogeneity_array(c2, p2, trace: GateTrace | None = None) -> np.ndarray:
     """H2 = C2 AND P2 elementwise, via one Toffoli per entry."""
     uid = next(_fresh)
-    c2_reg, m = _matrix_register(f"het{uid}.C2", c2, trace)
-    p2_reg, m2 = _matrix_register(f"het{uid}.P2", p2, trace)
+    m, c2_reg = _side(c2), _register(f"het{uid}.C2", c2, trace)
+    m2, p2_reg = _side(p2), _register(f"het{uid}.P2", p2, trace)
     if m != m2:
         raise ValueError(f"dimension mismatch: {m}x{m} vs {m2}x{m2}")
-    h2 = _Blocks(f"het{uid}.H2", np.zeros((m * m, 1), np.uint8))
-    if trace is not None:
-        trace.track(h2.name, h2.bits)
+    h2 = _register(f"het{uid}.H2", [0] * (m * m), trace)
     _and_entries(c2_reg, p2_reg, h2, trace)
     return h2.rows.reshape(m, m)
-
-
-def _sweep_register(name: str, trigger: int, f: np.ndarray, trace: GateTrace | None) -> _Blocks:
-    """F as a one-lane block register: the trigger, then the m^2 entries of ``f``."""
-    reg = _Blocks(name, np.vstack((np.array([[_check_bit(trigger, "trigger")]], np.uint8), _bit_column(name, f))))
-    if trace is not None:
-        trace.track(reg.name, reg.bits)
-    return reg
 
 
 def gate_ones(h_negated, trigger: int = 1, trace: GateTrace | None = None) -> tuple[int, np.ndarray]:
@@ -740,9 +721,9 @@ def gate_ones(h_negated, trigger: int = 1, trace: GateTrace | None = None) -> tu
     no heterogeneous pointer.  Returns (final flag, F as an m x m matrix).
     """
     uid = next(_fresh)
-    h_reg, m = _matrix_register(f"ones{uid}.H", h_negated, trace)
-    f = _sweep_register(f"ones{uid}.F", trigger, np.zeros((m, m), np.uint8), trace)
-    _sweep(h_reg, f, trace)
+    m, h = _side(h_negated), _register(f"ones{uid}.H", h_negated, trace)
+    f = _register(f"ones{uid}.F", [trigger] + [0] * (m * m), trace)
+    _sweep(h, f, trace)
     return int(f.rows[m * m, 0]), f.rows[1:].reshape(m, m)
 
 
@@ -752,24 +733,20 @@ def gate_ones_inverse(h_negated, f, trigger: int = 1, trace: GateTrace | None = 
     Raises ``ValueError`` unless ``f`` has the shape of ``h_negated``.
     """
     uid = next(_fresh)
-    h_reg, m = _matrix_register(f"ones{uid}.H", h_negated, trace)
-    f_arr = np.asarray(f)
-    if f_arr.shape != (m, m):
-        raise ValueError(f"dimension mismatch: H is {m}x{m}, F has shape {f_arr.shape}")
-    f_reg = _sweep_register(f"ones{uid}.F", trigger, f_arr, trace)
-    _sweep(h_reg, f_reg, trace, inverse=True)
+    m, h = _side(h_negated), _register(f"ones{uid}.H", h_negated, trace)
+    if np.shape(f) != (m, m):
+        raise ValueError(f"dimension mismatch: H is {m}x{m}, F has shape {np.shape(f)}")
+    f_reg = _register(f"ones{uid}.F", np.append(trigger, f), trace)
+    _sweep(h, f_reg, trace, inverse=True)
     return int(f_reg.rows[0, 0]), f_reg.rows[1:].reshape(m, m)
 
 
 def build_analogy_array(c2, homog_flag, trace: GateTrace | None = None) -> np.ndarray:
     """A2 = C2 when the homogeneity flag is set, all zeros otherwise."""
     uid = next(_fresh)
-    c2_reg, m = _matrix_register(f"ana{uid}.C2", c2, trace)
-    flag = _Blocks(f"ana{uid}.flag", np.array([[_check_bit(int(homog_flag), "flag")]], np.uint8))
-    a2 = _Blocks(f"ana{uid}.A2", np.zeros((m * m, 1), np.uint8))
-    if trace is not None:
-        trace.track(flag.name, flag.bits)
-        trace.track(a2.name, a2.bits)
+    m, c2_reg = _side(c2), _register(f"ana{uid}.C2", c2, trace)
+    flag = _register(f"ana{uid}.flag", int(homog_flag), trace)
+    a2 = _register(f"ana{uid}.A2", [0] * (m * m), trace)
     _analogy(c2_reg, flag, 0, a2, trace)
     return a2.rows.reshape(m, m)
 

@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations, product
 from math import lcm
+from numbers import Rational
 
 import numpy as np
 
@@ -113,6 +114,12 @@ class OutcomeDistribution:
         probs = self.probabilities
         if not probs:
             raise ValueError("empty distribution")
+        if all(isinstance(p, Rational) for p in probs.values()):
+            # in integers over the lcm of the denominators: none negative, and summing to it
+            common = lcm(*(p.denominator for p in probs.values()))
+            scaled = [p.numerator * (common // p.denominator) for p in probs.values()]
+            if min(scaled) >= 0 and sum(scaled) == common:
+                return
         for label, p in probs.items():
             if not 0 <= p <= 1:
                 raise ValueError(f"probability for {label!r} out of range: {p}")

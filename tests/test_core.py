@@ -3,6 +3,7 @@
 import codecs
 import pickle
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from analogical import (
     DEFAULT_N_CAP,
     Dataset,
     DatasetFormatError,
+    Exemplar,
     LatticeSizeError,
     analogical_set,
     bits_to_int,
@@ -135,6 +137,20 @@ def test_serialize_rejects_leading_byte_order_mark(tmp_path):
 def test_from_pairs_rejects_empty():
     with pytest.raises(DatasetFormatError):
         Dataset.from_pairs([])
+
+
+@pytest.mark.parametrize(
+    "exemplars, message",
+    [
+        ([Exemplar((), "y", 1)], "exemplars must have at least one feature"),
+        ([Exemplar(("a",), "y", 1), Exemplar(("a", "b"), "x", 2)], "exemplar 2 has 2 features, expected 1"),
+        ([Exemplar(("a",), "y", 1), Exemplar(("b",), "x", 3)], "exemplar at position 2 carries index 3"),
+        ([Exemplar(("a",), "", 1)], "exemplar 1 has an empty outcome label"),
+    ],
+)
+def test_dataset_checks_exemplars_built_directly(exemplars, message):
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+        Dataset(tuple(exemplars))
 
 
 def test_load_dataset_ignores_byte_order_mark(tmp_path):
@@ -306,6 +322,11 @@ def test_wrong_length_given_raises(worked, call, given):
 def test_contains_matches_bitwise_and(pair):
     mask, d = pair
     assert contains(mask, d) == (bits_to_int(mask) & bits_to_int(d) == 0)
+
+
+def test_contains_length_mismatch():
+    with pytest.raises(ValueError, match=r"^length mismatch: 2 vs 3$"):
+        contains((0, 1), (0, 1, 1))
 
 
 def test_contains_extremes():

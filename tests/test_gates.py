@@ -178,8 +178,42 @@ def test_heterogeneity_block_010(worked):
 
 
 def test_heterogeneity_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2x2 vs 3x3$"):
         build_heterogeneity_array(np.zeros((2, 2)), np.zeros((3, 3)))
+
+
+def test_builders_refuse_a_matrix_that_is_not_square():
+    for call in (
+        lambda: build_heterogeneity_array(np.zeros((2, 3)), np.zeros((2, 2))),
+        lambda: build_heterogeneity_array(np.zeros((2, 2)), np.zeros((2, 3))),
+        lambda: gate_ones(np.ones((2, 3))),
+        lambda: gate_ones_inverse(np.ones((2, 3)), np.zeros((2, 3))),
+        lambda: build_analogy_array(np.zeros((2, 3)), 1),
+    ):
+        with pytest.raises(ValueError, match=r"^expected a square bit matrix, got shape \(2, 3\)$"):
+            call()
+    with pytest.raises(ValueError, match=r"^expected a square bit matrix, got shape \(4,\)$"):
+        build_analogy_array([0, 1, 1, 0], 1)
+
+
+def test_builders_name_the_register_of_a_stray_bit(worked):
+    ds, given = worked
+    c2 = build_containment_array(ds, given, (0, 1, 0))
+    stray = c2.copy()
+    stray[2, 1] = 2
+    for register, call in (
+        (r"cont\d+\.S", lambda: build_containment_array(ds, given, (0, 2, 0))),
+        (r"het\d+\.C2", lambda: build_heterogeneity_array(stray, c2)),
+        (r"het\d+\.P2", lambda: build_heterogeneity_array(c2, stray)),
+        (r"ones\d+\.H", lambda: gate_ones(stray)),
+        (r"ones\d+\.F", lambda: gate_ones(c2, trigger=2)),
+        (r"ones\d+\.F", lambda: gate_ones_inverse(c2, stray)),
+        (r"ones\d+\.F", lambda: gate_ones_inverse(c2, c2, trigger=2)),
+        (r"ana\d+\.C2", lambda: build_analogy_array(stray, 1)),
+        (r"ana\d+\.flag", lambda: build_analogy_array(c2, 2)),
+    ):
+        with pytest.raises(ValueError, match=rf"^register '{register}': bit value 2 is not 0 or 1$"):
+            call()
 
 
 def test_analogy_array_gating():
@@ -274,6 +308,8 @@ def test_trace_replay_and_inverse():
 
     back = trace.replay_inverse(final)
     assert back == {name: list(bits) for name, bits in trace.initial.items()}
+    # with no state given, the inverse starts from the replayed final state
+    assert trace.replay_inverse() == back
 
 
 def test_trace_truncation_refuses_replay():
@@ -281,10 +317,9 @@ def test_trace_truncation_refuses_replay():
     trace = GateTrace(max_steps=10)
     run_qam_circuit(ds, ("a",), trace=trace)
     assert trace.truncated
-    with pytest.raises(RuntimeError):
-        trace.replay()
-    with pytest.raises(RuntimeError):
-        trace.replay_inverse()
+    for replay in (trace.replay, trace.replay_inverse):
+        with pytest.raises(RuntimeError, match=r"^trace was truncated at max_steps and cannot replay$"):
+            replay()
 
 
 def test_composite_traces_cover_scratch():

@@ -457,12 +457,28 @@ def test_pointer_sums_exact_past_int64():
 # --- distribution mechanics -----------------------------------------------------
 
 def test_distribution_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^empty distribution$"):
         OutcomeDistribution({})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^probabilities sum to 1/2, not 1$"):
         OutcomeDistribution({"x": Fraction(1, 2)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^probability for 'x' out of range: 3/2$"):
         OutcomeDistribution({"x": Fraction(3, 2), "y": Fraction(-1, 2)})
+    # input that is not rational keeps the same checks
+    with pytest.raises(ValueError, match=r"^probabilities sum to 0\.75, not 1$"):
+        OutcomeDistribution({"x": 0.5, "y": 0.25})
+    OutcomeDistribution({"x": 0.5, "y": 0.5})
+
+
+def test_distribution_check_is_exact():
+    eps = Fraction(1, 10**30)
+    OutcomeDistribution({"x": Fraction(1, 3) + eps, "y": Fraction(2, 3) - eps})
+    OutcomeDistribution({"x": 1, "y": Fraction(0)})
+    with pytest.raises(ValueError, match=r"^probabilities sum to "):
+        OutcomeDistribution({"x": Fraction(1, 3), "y": Fraction(2, 3) - eps})
+    with pytest.raises(ValueError, match=r"^probabilities sum to "):
+        OutcomeDistribution({"x": Fraction(1, 3) + eps, "y": Fraction(2, 3)})
+    with pytest.raises(ValueError, match=r"^probability for 'x' out of range: "):
+        OutcomeDistribution({"x": 1 + eps, "y": -eps})
 
 
 def test_no_support_raises():

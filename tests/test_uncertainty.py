@@ -153,6 +153,11 @@ def test_density_validation():
         TabulatedDensity(np.array([0.0, 1.0]), np.array([2.0, -0.5]))
     with pytest.raises(InvalidDistributionError):
         TabulatedDensity(np.array([0.0, 1.0]), np.array([3.0, 3.0]))
+    for grid, values in ((np.ones((2, 2)), np.ones(4)), (np.array([0.0, 1.0]), np.ones((1, 2)))):
+        with pytest.raises(InvalidDistributionError, match=r"^grid and values must be one-dimensional$"):
+            TabulatedDensity(grid, values)
+    with pytest.raises(InvalidDistributionError, match=r"^grid has 3 points but values has 2$"):
+        TabulatedDensity(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0]))
     # a loose tolerance accepts the same mass mismatch
     TabulatedDensity(np.array([0.0, 1.0]), np.array([3.0, 3.0]), tol=2.5)
 
