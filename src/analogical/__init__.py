@@ -37,16 +37,13 @@ from .core import (
     str_to_bits,
 )
 from .gates import (
-    BitRegister,
     GateTrace,
     build_analogy_array,
     build_containment_array,
     build_heterogeneity_array,
-    gate_ccnot,
     gate_identity,
     gate_inclusion,
     gate_inclusion_inverse,
-    gate_not,
     gate_ones,
     gate_ones_inverse,
     run_qam_circuit,
@@ -101,16 +98,13 @@ __all__ = [
     "parse_dataset",
     "serialize_dataset",
     "str_to_bits",
-    "BitRegister",
     "GateTrace",
     "build_analogy_array",
     "build_containment_array",
     "build_heterogeneity_array",
-    "gate_ccnot",
     "gate_identity",
     "gate_inclusion",
     "gate_inclusion_inverse",
-    "gate_not",
     "gate_ones",
     "gate_ones_inverse",
     "run_qam_circuit",

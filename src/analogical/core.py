@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib.resources import files
 from itertools import chain, count
 from math import comb
@@ -298,6 +298,13 @@ def str_to_bits(text: str) -> Bits:
     return tuple(int(c) for c in text)
 
 
+@cache
+def _low_parts(n: int) -> tuple[np.ndarray, ...]:
+    """Per count c, the low ``min(n, 12)``-bit parts with c bits set, descending, in n's mask type; built once per n."""
+    values = np.arange((1 << min(n, 12)) - 1, -1, -1, dtype=np.min_scalar_type((1 << n) - 1))
+    return tuple(values[np.bitwise_count(values) == rest] for rest in range(min(n, 12) + 1))
+
+
 def _mask_chunks(n: int) -> Iterator[np.ndarray]:
     """The :func:`iter_masks` order in arrays of at most C(12, 6) = 924 mask ints, of the narrowest unsigned type.
 
@@ -306,9 +313,7 @@ def _mask_chunks(n: int) -> Iterator[np.ndarray]:
     """
     if n < 0:
         raise ValueError(f"a mask lattice needs 0 or more variables, got n = {n}")
-    low = min(n, 12)
-    values = np.arange((1 << low) - 1, -1, -1, dtype=np.min_scalar_type((1 << n) - 1))
-    table = [values[np.bitwise_count(values) == rest] for rest in range(low + 1)]
+    low, table = min(n, 12), _low_parts(n)
     return (
         high << low | table[selected - high.bit_count()]
         for selected in range(n, -1, -1)

@@ -117,7 +117,6 @@ from .core import (
     Bits,
     Dataset,
     _mask_chunks,
-    bits_to_str,
     check_lattice_size,
     encode,
     int_to_bits,
@@ -125,41 +124,6 @@ from .core import (
 from .homogeneity import AnalogicalSet, _LatticeVerdicts
 
 _fresh = itertools.count()
-
-
-class BitRegister:
-    """A named, fixed-length register of classical bits (strictly 0 or 1)."""
-
-    __slots__ = ("name", "_bits")
-
-    def __init__(self, name: str, bits: Sequence[int]):
-        checked = []
-        for b in bits:
-            if b != 0 and b != 1:
-                raise ValueError(f"register {name!r}: bit value {b!r} is not 0 or 1")
-            checked.append(int(b))
-        self.name, self._bits = name, checked
-
-    @property
-    def bits(self) -> Bits:
-        return tuple(self._bits)
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-    def __getitem__(self, i: int) -> int:
-        return self._bits[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._bits)
-
-    def __setitem__(self, i: int, value: int) -> None:
-        if value != 0 and value != 1:
-            raise ValueError(f"register {self.name!r}: bit value {value!r} is not 0 or 1")
-        self._bits[i] = int(value)
-
-    def __repr__(self) -> str:
-        return f"BitRegister({self.name!r}, {bits_to_str(self._bits)})"
 
 
 @dataclass(frozen=True)
@@ -232,26 +196,6 @@ class GateTrace:
 def _recording(trace) -> bool:
     """Whether ``trace`` takes steps: it is there and not truncated."""
     return trace is not None and not trace.truncated
-
-
-def _check_bit(value: int, what: str) -> int:
-    if value != 0 and value != 1:
-        raise ValueError(f"{what} must be 0 or 1, got {value!r}")
-    return int(value)
-
-
-def gate_not(r) -> BitRegister:
-    """NOT applied to every bit; involutive."""
-    reg = r if isinstance(r, BitRegister) else BitRegister(f"r{next(_fresh)}", r)
-    return BitRegister(reg.name, [b ^ 1 for b in reg])
-
-
-def gate_ccnot(a: int, b: int, target: int) -> int:
-    """Toffoli on plain bits: flip target iff both controls are 1."""
-    a = _check_bit(a, "control a")
-    b = _check_bit(b, "control b")
-    target = _check_bit(target, "target")
-    return target ^ (a & b)
 
 
 # --- composite comparators --------------------------------------------------
@@ -349,13 +293,14 @@ def _comparator_apply(
 
 def _compare(mode: str, names: tuple[str, str, str], u, v, ancilla: int, flag: int, trace) -> tuple[int, int]:
     """One comparator on plain bits, registers named by ``names`` (a prefix, u's, v's); returns (flag, ancilla)."""
-    pfx, u_name, v_name = names
+    shapes = tuple(np.shape(x) for x in (u, v, flag, ancilla))
+    if len(shapes[0]) != 1 or len(shapes[1]) != 1 or shapes[2:] != ((), ()):
+        raise ValueError(f"expected two bit vectors, a flag bit and an ancilla bit, got shapes {shapes}")
     uid = next(_fresh)
-    u_reg = u if isinstance(u, BitRegister) else BitRegister(f"{pfx}{uid}.{u_name}", u)
-    v_reg = v if isinstance(v, BitRegister) else BitRegister(f"{pfx}{uid}.{v_name}", v)
-    regs = (u_reg.name, v_reg.name, f"{pfx}{uid}.flag", 0)
-    flag = _check_bit(flag, "flag")
-    return _comparator_apply(mode, u_reg._bits, v_reg._bits, _check_bit(ancilla, "ancilla"), flag, 1, trace, regs)
+    regs = [f"{names[0]}{uid}.{name}" for name in (*names[1:], "flag", "ancilla")]
+    checked = (_register(name, bits, None).rows[:, 0].tolist() for name, bits in zip(regs, (u, v, flag, ancilla)))
+    u, v, (flag,), (ancilla,) = checked
+    return _comparator_apply(mode, u, v, ancilla, flag, 1, trace, (*regs[:3], 0))
 
 
 def gate_identity(u, v, ancilla: int = 1, flag: int = 1, trace: GateTrace | None = None) -> tuple[int, int]:
@@ -378,14 +323,8 @@ def gate_inclusion(mask, d, ancilla: int = 1, flag: int = 0, trace: GateTrace | 
     return _compare("and", ("incl", "mask", "d"), mask, d, ancilla, flag, trace)
 
 
-def gate_inclusion_inverse(mask, d, ancilla: int, flag: int, trace: GateTrace | None = None) -> tuple[int, int]:
-    """Undo :func:`gate_inclusion`: restores (ancilla, flag) to their presets.
-
-    The containment circuit is its own mirror image, so the inverse applies
-    the same gate sequence; flipping the flag by the same condition twice
-    cancels.
-    """
-    return gate_inclusion(mask, d, ancilla, flag, trace)
+# the containment circuit is its own mirror image, so running it again undoes it
+gate_inclusion_inverse = gate_inclusion
 
 
 # --- circuit steps ------------------------------------------------------------
@@ -745,7 +684,9 @@ def build_analogy_array(c2, homog_flag, trace: GateTrace | None = None) -> np.nd
     """A2 = C2 when the homogeneity flag is set, all zeros otherwise."""
     uid = next(_fresh)
     m, c2_reg = _side(c2), _register(f"ana{uid}.C2", c2, trace)
-    flag = _register(f"ana{uid}.flag", int(homog_flag), trace)
+    if np.ndim(homog_flag):
+        raise ValueError(f"expected one homogeneity flag, got shape {np.shape(homog_flag)}")
+    flag = _register(f"ana{uid}.flag", homog_flag, trace)
     a2 = _register(f"ana{uid}.A2", [0] * (m * m), trace)
     _analogy(c2_reg, flag, 0, a2, trace)
     return a2.rows.reshape(m, m)

@@ -379,6 +379,16 @@ def test_mask_ints_match_iter_masks(n):
     assert mask_ints(n).tolist() == order and mask_ints(n).dtype == chunks[0].dtype
 
 
+@pytest.mark.parametrize("n", [3, 13])
+def test_mask_ints_hands_out_fresh_arrays(n):
+    # the low-part table is built once per n; what a caller changes must not reach it
+    order = mask_ints(n).tolist()
+    mask_ints(n)[:] = 0
+    for chunk in _mask_chunks(n):
+        chunk[:] = 0
+    assert mask_ints(n).tolist() == order
+
+
 def test_mask_functions_name_a_negative_n():
     for call in (iter_masks, mask_ints, lambda n: mask_at(n, 0)):
         with pytest.raises(ValueError, match="n = -1"):

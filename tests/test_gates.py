@@ -14,7 +14,6 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from analogical import (
-    BitRegister,
     Dataset,
     GateTrace,
     analogical_set,
@@ -24,11 +23,9 @@ from analogical import (
     build_containment_array,
     build_heterogeneity_array,
     contains,
-    gate_ccnot,
     gate_identity,
     gate_inclusion,
     gate_inclusion_inverse,
-    gate_not,
     gate_ones,
     gate_ones_inverse,
     int_to_bits,
@@ -55,33 +52,6 @@ from helpers import (
 )
 
 
-# --- registers and primitives -------------------------------------------------
-
-def test_register_accepts_only_bits():
-    reg = BitRegister("r", [0, 1, 1])
-    assert reg.bits == (0, 1, 1)
-    with pytest.raises(ValueError):
-        BitRegister("r", [0, 2])
-    with pytest.raises(ValueError):
-        reg[0] = 5
-
-
-def test_gate_not_involutive():
-    reg = BitRegister("r", [0, 1, 0])
-    flipped = gate_not(reg)
-    assert flipped.bits == (1, 0, 1)
-    assert gate_not(flipped).bits == reg.bits
-
-
-def test_gate_ccnot_truth_table():
-    for a, b, t in itertools.product((0, 1), repeat=3):
-        out = gate_ccnot(a, b, t)
-        assert out == (t ^ (a & b))
-        assert gate_ccnot(a, b, out) == t  # applying twice restores
-    with pytest.raises(ValueError):
-        gate_ccnot(2, 0, 0)
-
-
 # --- composite comparators ------------------------------------------------------
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -103,8 +73,31 @@ def test_gate_identity_flag_semantics_is_xor():
 
 
 def test_gate_identity_length_mismatch():
-    with pytest.raises(ValueError):
-        gate_identity((0, 1), (0,))
+    for call in (gate_identity, gate_inclusion):
+        with pytest.raises(ValueError, match=r"^length mismatch: 2 vs 3$"):
+            call((0, 1), (0, 1, 1))
+
+
+def test_comparators_check_every_caller_bit():
+    for register, call in (
+        (r"id\d+\.u", lambda: gate_identity((0, 2), (0, 1))),
+        (r"id\d+\.v", lambda: gate_identity((0, 1), (2, 1))),
+        (r"id\d+\.flag", lambda: gate_identity((0, 1), (0, 1), flag=2)),
+        (r"id\d+\.ancilla", lambda: gate_identity((0, 1), (0, 1), ancilla=2)),
+        (r"incl\d+\.mask", lambda: gate_inclusion((0, 2), (0, 1))),
+        (r"incl\d+\.d", lambda: gate_inclusion((0, 1), (0, 2))),
+    ):
+        with pytest.raises(ValueError, match=rf"^register '{register}': bit value 2 is not 0 or 1$"):
+            call()
+    # a nested register, or a flag or ancilla with a shape, is refused, not flattened
+    for args, shapes in (
+        (([[0, 1]], (0, 1)), "((1, 2), (2,), (), ())"),
+        (((0, 1), (0, 1), 1, [1]), "((2,), (2,), (1,), ())"),
+        (((0, 1), (0, 1), [1, 0]), "((2,), (2,), (), (2,))"),
+    ):
+        with pytest.raises(ValueError) as raised:
+            gate_inclusion(*args)
+        assert str(raised.value) == f"expected two bit vectors, a flag bit and an ancilla bit, got shapes {shapes}"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -201,24 +194,30 @@ def test_builders_name_the_register_of_a_stray_bit(worked):
     c2 = build_containment_array(ds, given, (0, 1, 0))
     stray = c2.copy()
     stray[2, 1] = 2
-    for register, call in (
-        (r"cont\d+\.S", lambda: build_containment_array(ds, given, (0, 2, 0))),
-        (r"het\d+\.C2", lambda: build_heterogeneity_array(stray, c2)),
-        (r"het\d+\.P2", lambda: build_heterogeneity_array(c2, stray)),
-        (r"ones\d+\.H", lambda: gate_ones(stray)),
-        (r"ones\d+\.F", lambda: gate_ones(c2, trigger=2)),
-        (r"ones\d+\.F", lambda: gate_ones_inverse(c2, stray)),
-        (r"ones\d+\.F", lambda: gate_ones_inverse(c2, c2, trigger=2)),
-        (r"ana\d+\.C2", lambda: build_analogy_array(stray, 1)),
-        (r"ana\d+\.flag", lambda: build_analogy_array(c2, 2)),
+    for register, bit, call in (
+        (r"cont\d+\.S", "2", lambda: build_containment_array(ds, given, (0, 2, 0))),
+        (r"het\d+\.C2", "2", lambda: build_heterogeneity_array(stray, c2)),
+        (r"het\d+\.P2", "2", lambda: build_heterogeneity_array(c2, stray)),
+        (r"ones\d+\.H", "2", lambda: gate_ones(stray)),
+        (r"ones\d+\.F", "2", lambda: gate_ones(c2, trigger=2)),
+        (r"ones\d+\.F", "2", lambda: gate_ones_inverse(c2, stray)),
+        (r"ones\d+\.F", "2", lambda: gate_ones_inverse(c2, c2, trigger=2)),
+        (r"ana\d+\.C2", "2", lambda: build_analogy_array(stray, 1)),
+        (r"ana\d+\.flag", "2", lambda: build_analogy_array(c2, 2)),
+        # a fractional flag is refused, not truncated to a bit
+        (r"ana\d+\.flag", r"0\.5", lambda: build_analogy_array(c2, 0.5)),
+        (r"ana\d+\.flag", r"1\.7", lambda: build_analogy_array(c2, 1.7)),
     ):
-        with pytest.raises(ValueError, match=rf"^register '{register}': bit value 2 is not 0 or 1$"):
+        with pytest.raises(ValueError, match=rf"^register '{register}': bit value {bit} is not 0 or 1$"):
             call()
 
 
 def test_analogy_array_gating():
     c2 = pair_block(3, (1, 3))
-    np.testing.assert_array_equal(build_analogy_array(c2, 1), c2)
+    for flag in (1, True, np.uint8(1)):
+        np.testing.assert_array_equal(build_analogy_array(c2, flag), c2)
+    with pytest.raises(ValueError, match=r"^expected one homogeneity flag, got shape \(2,\)$"):
+        build_analogy_array(c2, [1, 0])
     assert build_analogy_array(c2, 0).sum() == 0
 
 

@@ -7,6 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given as hgiven
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from analogical import (
     AnalogicalSet,
@@ -301,6 +304,32 @@ def test_wide_lattice_without_the_walk():
     for i in (0, 12345, -1):
         v = aset.verdicts[i]
         assert v.members == contained_exemplars(ds, given, v.mask)
+
+
+@st.composite
+def _small_instances(draw):
+    """A dataset of at most 8 exemplars over at most 5 features, and a given context."""
+    symbols = st.tuples(*[st.sampled_from("abc")] * draw(st.integers(1, 5)))
+    pairs = draw(st.lists(st.tuples(symbols, st.sampled_from("xyz")), min_size=1, max_size=8))
+    return Dataset.from_pairs(pairs), draw(symbols)
+
+
+@pytest.mark.parametrize("engine", ["fast", "gates"])
+@settings(max_examples=150, deadline=None)
+@hgiven(_small_instances())
+def test_count_relations(engine, instance):
+    # a feature every exemplar matches doubles every supracontext, one every
+    # exemplar misses adds only empty ones, and a repeated exemplar doubles every k
+    ds, given = instance
+    counts = ENGINES[engine](ds, given).outcome_counts
+    pairs = [(e.context, e.outcome) for e in ds.exemplars]
+    for new_pairs, new_given, factor in (
+        ([(c + ("a",), o) for c, o in pairs], given + ("a",), 2),
+        ([(c + ("b",), o) for c, o in pairs], given + ("a",), 1),
+        (pairs + pairs, given, 4),
+    ):
+        aset = ENGINES[engine](Dataset.from_pairs(new_pairs), new_given)
+        assert aset.outcome_counts == {o: factor * count for o, count in counts.items()}
 
 
 # --- two-step prediction off the lattice record ----------------------------------
