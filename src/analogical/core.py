@@ -33,8 +33,11 @@ Bits = tuple[int, ...]
 # The fast engine's subset sums take O((outcomes + 1) * n * 2^n) time and
 # about (outcomes + 1) * 2 * w * 2^n bytes, rows of w bytes (1 up to m = 255)
 # plus one transposed copy: 128 MiB at n = 24 with 3 outcomes and m <= 255.
-# Either engine's lattice record keeps 2^n * (1 + w) bytes, 32 MiB at n = 24,
-# read by two-step prediction and explain in chunked member passes.  The gate
+# The fast engine's lattice record keeps the flags and k in its transposed
+# order, 2^n * (1 + w) bytes (32 MiB at n = 24); the gate engine's keeps the
+# flag and C2 diagonal blocks, (m + 1) * 2^n / 8 bytes.  Either record puts the
+# flags and k in mask order, 2^n * (1 + w) bytes, only on its first read by
+# two-step prediction, explain or a library caller; prediction reads neither.  The gate
 # engine holds C2, H2, A2 and its sweep register as 4 * m^2 + 1 rows of 2^n
 # bits each, plus about 4n + 5 words of m * 2^n bits for the (mask, j') lanes
 # of its containment scan.  Reports hold one mask at a time.  Refuse larger n by default.
@@ -127,10 +130,11 @@ class _Codes:
     """A dataset's symbols and outcomes as small ints, for :func:`encode`.
 
     ``symbols`` maps each symbol to its first-seen code, and ``keys`` lists
-    the symbols by code; ``cells`` holds every exemplar's codes, (m, n);
-    ``outcomes`` holds each exemplar's position in ``outcome_order``.
-    Symbols share a code when a dict would merge them: equal by ``==`` with
-    equal hashes, or the same object.
+    the symbols by code; ``cells`` holds every exemplar's codes, (n, m), in
+    the narrowest unsigned type that holds ``len(keys)``, the code of a given
+    symbol no exemplar has; ``outcomes`` holds each exemplar's position in
+    ``outcome_order``.  Symbols share a code when a dict would merge them:
+    equal by ``==`` with equal hashes, or the same object.
     """
 
     def __init__(self, exemplars: Sequence[Exemplar]) -> None:
@@ -138,7 +142,8 @@ class _Codes:
         self.symbols, order = defaultdict(count().__next__), defaultdict(count().__next__)
         cells = map(self.symbols.__getitem__, chain.from_iterable(e.context for e in exemplars))
         m, n = len(exemplars), len(exemplars[0].context)
-        self.cells = np.fromiter(cells, np.intp, m * n).reshape(m, n)
+        cells = np.fromiter(cells, np.intp, m * n).reshape(m, n).T
+        self.cells = np.ascontiguousarray(cells, np.min_scalar_type(len(self.symbols)))
         labels = map(order.__getitem__, (e.outcome for e in exemplars))
         self.outcomes = np.fromiter(labels, np.intp, m)
         self.symbols.default_factory = None
@@ -147,11 +152,12 @@ class _Codes:
         self.cells.flags.writeable = self.outcomes.flags.writeable = False
 
     def given(self, given: Sequence[str]) -> np.ndarray:
-        """Each given symbol's code, or -1 where no exemplar's symbol ``==`` it."""
-        codes = [self.symbols.get(s, -1) for s in given]
+        """Each given symbol's code, or ``len(keys)`` where no exemplar's symbol ``==`` it."""
+        unseen = len(self.keys)
+        codes = [self.symbols.get(s, unseen) for s in given]
         # a dict finds a self-unequal symbol (NaN) by identity, where == finds nothing
-        codes = [c if c >= 0 and self.keys[c] == s else -1 for c, s in zip(codes, given)]
-        return np.array(codes, dtype=np.intp)
+        codes = [c if c < unseen and self.keys[c] == s else unseen for c, s in zip(codes, given)]
+        return np.array(codes, dtype=self.cells.dtype)
 
 
 def parse_dataset(text: str) -> Dataset:
@@ -279,9 +285,18 @@ def encode(ds: Dataset, given: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     if len(given) != ds.n:
         raise ValueError(f"length mismatch: {ds.n} vs {len(given)}")
     codes = ds._codes
+    weights, packed = _weights(ds.n)
+    differs = codes.cells != codes.given(given)[:, None]
+    return np.einsum("i,ij->j", weights, differs).astype(packed), codes.outcomes
+
+
+@cache
+def _weights(n: int) -> tuple[np.ndarray, type]:
+    """Bit i's weight 2^(n - 1 - i), read-only, in the narrowest type that holds their sum, and the packed ints' type."""
+    weights = np.array([1 << i for i in reversed(range(n))], np.min_scalar_type((1 << n) - 1))
+    weights.flags.writeable = False
     # past 62 features the packed ints outgrow int64 and stay Python ints
-    weights = np.array([1 << i for i in reversed(range(ds.n))], np.int64 if ds.n < 63 else object)
-    return (codes.cells != codes.given(given)) @ weights, codes.outcomes
+    return weights, np.int64 if n < 63 else object
 
 
 def int_to_bits(value: int, n: int) -> Bits:

@@ -107,7 +107,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -841,14 +841,21 @@ def run_qam_circuit(
     return CircuitRun(d_ints, *pairs.reshape(3, m, m), ds.n, blocks)
 
 
+def _lattice_arrays(n: int, flags: np.ndarray, diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The record's arrays by mask int: the flag block's lanes as bools, and each lane's count of set diagonal blocks."""
+    k = _unpack_blocks(diagonal, 1 << n).sum(axis=0, dtype=np.min_scalar_type(len(diagonal)))
+    return _unpack_blocks(flags, 1 << n).view(bool), k
+
+
 def to_analogical_set(run: CircuitRun, ds: Dataset) -> AnalogicalSet:
     """Read the circuit's blocks back into the pointer-counting vocabulary.
 
     Outcome o's pointer count is the number of set lanes in the A2 blocks of
     the columns j' with outcome o.  Lane l is mask int l, so the lattice
-    record takes the flag block and the lane counts of the C2 diagonal
-    blocks (each mask's k) as they are.  Raises ``ValueError`` when ``run``
-    was not made from a dataset of the same shape.
+    record keeps the flag block and the C2 diagonal blocks, and unpacks them
+    into the flags and each mask's k, its lane's count of set diagonal
+    blocks, on first read.  Raises ``ValueError`` when ``run`` was not made
+    from a dataset of the same shape.
     """
     m, n = len(run.p2), run.n
     if (m, n) != (ds.m, ds.n):
@@ -863,10 +870,10 @@ def to_analogical_set(run: CircuitRun, ds: Dataset) -> AnalogicalSet:
     # float64 sums are exact here: a total past 2^53 needs more blocks than memory holds
     per_outcome = np.bincount(ds._codes.outcomes, columns, len(ds.outcome_order))
     counts = dict(zip(ds.outcome_order, per_outcome.astype(np.int64).tolist()))
-    homogeneous = _unpack_blocks(run.blocks[-2], 1 << n).view(bool)
-    k = _unpack_blocks(run.blocks[: m * m : m + 1], 1 << n).sum(axis=0, dtype=np.min_scalar_type(m))
+    # copies, so the record keeps no view of the run's blocks
+    by_mask = partial(_lattice_arrays, n, run.blocks[-2].copy(), run.blocks[: m * m : m + 1].copy())
     return AnalogicalSet(
-        verdicts=_LatticeVerdicts(ds, run.d, homogeneous, k),
+        verdicts=_LatticeVerdicts(ds, run.d, by_mask),
         outcome_counts=counts,
         total_pointers=sum(counts.values()),
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import operator
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -95,8 +95,9 @@ class AnalogicalSet:
     order) to the number of surviving pointers targeting it;
     ``total_pointers`` is their sum, equal to the sum of k^2 over the
     homogeneous supracontexts.  ``verdicts`` is the lattice record both
-    engines return, which keeps a flag and a w-byte member count per mask
-    (2^n * (1 + w) bytes) and builds a verdict only when indexed or iterated.
+    engines return.  Once read, it keeps a flag and a w-byte member count per
+    mask (2^n * (1 + w) bytes), put in mask order on that first read, which
+    prediction never makes; it builds a verdict only when indexed or iterated.
     """
 
     verdicts: Sequence[SupracontextVerdict]
@@ -203,11 +204,12 @@ def analogical_set(
     type that holds m.  The passes for the high half of the bits run in
     place over runs of at least 2^(n//2) entries; one transposed copy then
     makes the low bits high, so their passes run over long runs too.  The
-    counts are read off the transposed rows; only the flags and k go back,
-    in mask order, for the lattice record.  The cost is O((outcomes + 1) *
-    n * 2^n) time and about (outcomes + 1) * 2 * w * 2^n bytes for w-byte
-    rows (w = 1 up to m = 255), independent of m after bucketing by
-    :func:`encode`'s arrays.
+    counts are read off the transposed rows, and the lattice record keeps
+    the flags and k in that order: it puts them in mask order only when
+    something reads them, which prediction never does.  The cost is
+    O((outcomes + 1) * n * 2^n) time and about (outcomes + 1) * 2 * w * 2^n
+    bytes for w-byte rows (w = 1 up to m = 255), independent of m after
+    bucketing by :func:`encode`'s arrays.
     """
     check_lattice_size(ds.n, n_cap)
     order = ds.outcome_order
@@ -216,7 +218,8 @@ def analogical_set(
     low, high = ds.n // 2, ds.n - ds.n // 2
 
     sums = np.zeros((len(order) + 1, 1 << ds.n), dtype=row_type)
-    np.add.at(sums, (outcomes, d_ints), row_type.type(1))
+    # numpy's fast path takes a flat index and a value of the row type, not a (row, column) pair or an int
+    np.add.at(sums.reshape(-1), outcomes << ds.n | d_ints, row_type.type(1))
     sums[-1, d_ints] = 1
     _zeta(sums, range(low, ds.n))
     # c = h * 2^low + l becomes t = l * 2^high + h: c's low bits are t's high bits
@@ -226,18 +229,13 @@ def analogical_set(
 
     per_outcome, subcontexts = sums[:-1], sums[-1]
     homogeneous = subcontexts <= 1
-    # S(c) is no longer needed: its row takes max_o N_o(c)
+    # S(c) is no longer needed: its row takes max_o N_o(c), then k(c) where c is homogeneous
     top = np.max(per_outcome, axis=0, out=subcontexts)
     k = per_outcome.sum(axis=0, dtype=row_type)
     homogeneous |= top == k
-    # back to c order in copies (flatten copies even where n = 1 leaves .T contiguous);
-    # mask = 2^n - 1 - c, so mask order is c order reversed
-    by_mask = [a.reshape(1 << low, 1 << high).T.flatten()[::-1] for a in (homogeneous, k)]
-    record = _LatticeVerdicts(ds, d_ints, *by_mask)
-    k[~homogeneous] = 0
-    counts, total = _pointer_sums(k, per_outcome, ds.m)
+    counts, total = _pointer_sums(np.multiply(k, homogeneous, out=top), per_outcome, ds.m)
     return AnalogicalSet(
-        verdicts=record,
+        verdicts=_LatticeVerdicts(ds, d_ints, partial(_mask_order, low, homogeneous, k)),
         outcome_counts=dict(zip(order, counts)),
         total_pointers=total,
     )
@@ -250,19 +248,43 @@ def _zeta(sums: np.ndarray, bits: range) -> None:
         halves[:, :, 1, :] += halves[:, :, 0, :]
 
 
-def _pointer_sums(k: np.ndarray, per_outcome: np.ndarray, max_k: int) -> tuple[list[int], int]:
-    """``sum(k * row)`` for each row of ``per_outcome``, and ``sum(k * k)``.
+def _mask_order(low: int, *rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows indexed by t = l * 2^high + h, for c = h * 2^low + l, in new arrays indexed by mask = 2^n - 1 - c."""
+    # flatten copies even where n = 1 leaves .T contiguous
+    return tuple(row.reshape(1 << low, -1).T.flatten()[::-1] for row in rows)
 
-    Every entry is at most ``max_k``, so each sum is below max_k^2 * len(k).
-    While that bound is below 2^63 the products are summed in int64, cast in
-    einsum's buffers without an int64 copy of a row; past it they are summed
-    as Python ints, so the sums never wrap.
+
+_SUM_ENTRIES = 1 << 13  # lattice entries per chunk of the pointer sums, at least
+
+
+def _pointer_sums(k: np.ndarray, per_outcome: np.ndarray, max_k: int) -> tuple[list[int], int]:
+    """``sum(k * row)`` for each row of ``per_outcome``, and the sum of those sums.
+
+    Every entry lies in [0, max_k].  The products are taken in the narrowest
+    unsigned type that holds max_k^2, in chunks of as many entries as fill
+    one row of ``per_outcome`` with products, or ``_SUM_ENTRIES`` if more.
+    Each chunk sums in the narrowest type that holds its largest possible
+    total, and the chunk sums add up as Python ints.  Where that total
+    reaches 2^63 the sums are taken over Python ints instead, so they never
+    wrap.  When k = sum_o N_o, as in both callers, the last sum is sum(k * k).
     """
-    if max_k * max_k * len(k) >= 1 << 63:
+    product_type = np.min_scalar_type(max_k * max_k)
+    step = max(_SUM_ENTRIES, len(k) * per_outcome.itemsize // product_type.itemsize)
+    if max_k * max_k * step >= 1 << 63:
         k, per_outcome = k.astype(object), per_outcome.astype(object)
-        return [int(row @ k) for row in per_outcome], int(k @ k)
-    dot = partial(np.einsum, "i,i->", dtype=np.int64)
-    return [int(dot(row, k)) for row in per_outcome], int(dot(k, k))
+        counts = [int(row @ k) for row in per_outcome]
+        return counts, sum(counts)
+    chunk_type = np.min_scalar_type(max_k * max_k * step)
+    buffer = np.empty(min(step, len(k)), product_type)
+    counts = [0] * len(per_outcome)
+    for start in range(0, len(k), step):
+        chunk = k[start:start + step]
+        out = buffer[:len(chunk)]
+        for i, row in enumerate(per_outcome):
+            # entries lie in [0, max_k], so even a cast from a signed type loses nothing
+            np.multiply(chunk, row[start:start + step], out=out, dtype=product_type, casting="unsafe")
+            counts[i] += int(out.sum(dtype=chunk_type))
+    return counts, sum(counts)
 
 
 _PASS_CELLS = 1 << 13  # (mask, exemplar) cells per pass over a chunk of masks
@@ -273,13 +295,33 @@ class _LatticeVerdicts(Sequence):
 
     ``d`` holds :func:`encode`'s difference vectors; ``homogeneous`` (bool)
     and ``k`` (members, in the narrow row type) are indexed by mask int.
-    Members, ``d & mask == 0``, are counted in :meth:`member_passes` and
-    listed in verdicts, built only on access; none is cached.
+    The engine hands over ``by_mask``, which returns those two arrays from
+    what the engine computed; it runs on the first read of either, so a
+    caller that reads neither never builds them.  ``by_mask`` must pickle,
+    as the record does.  Members, ``d & mask == 0``, are counted in
+    :meth:`member_passes` and listed in verdicts, built only on access;
+    none is cached.
     """
 
-    def __init__(self, ds: Dataset, d: np.ndarray, homogeneous: np.ndarray, k: np.ndarray):
-        self.ds, self.d, self.homogeneous, self.k = ds, d, homogeneous, k
-        self._numbers = np.arange(1, ds.m + 1)  # a boolean index beats flatnonzero + 1 at small m
+    def __init__(self, ds: Dataset, d: np.ndarray, by_mask: Callable[[], tuple[np.ndarray, np.ndarray]]):
+        self.ds, self.d, self._by_mask = ds, d, by_mask
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        arrays, self._by_mask = self._by_mask(), None  # drop what the engine kept
+        return arrays
+
+    @property
+    def homogeneous(self) -> np.ndarray:
+        return self._arrays[0]
+
+    @property
+    def k(self) -> np.ndarray:
+        return self._arrays[1]
+
+    @cached_property
+    def _numbers(self) -> np.ndarray:
+        return np.arange(1, self.ds.m + 1)  # a boolean index beats flatnonzero + 1 at small m
 
     def __len__(self) -> int:
         return 1 << self.ds.n

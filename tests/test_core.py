@@ -269,6 +269,17 @@ def test_encode_nan_matches_nothing():
         assert encode_oracle(ds, (NAN, "a"))[0] == [0b10, 0b11, 0b10]
 
 
+@pytest.mark.parametrize("symbols, code_type", [(255, np.uint8), (256, np.uint16)])
+def test_unseen_symbol_code_at_the_narrow_type_boundary(symbols, code_type):
+    # the first position holds every symbol, so the code past the last one is 255 or 256
+    alphabet = [NAN] + [f"s{i}" for i in range(symbols - 1)]
+    ds = Dataset.from_pairs([((a, "s0"), "xy"[i % 2]) for i, a in enumerate(alphabet)])
+    for given in (("unseen", "s0"), (NAN, "s1"), (f"s{symbols - 2}", "unseen"), ("s0", NAN)):
+        d_ints, outcomes = encode(ds, given)
+        assert (d_ints.tolist(), outcomes.tolist()) == encode_oracle(ds, given)
+    assert ds._codes.cells.dtype == code_type and len(ds._codes.keys) == symbols
+
+
 def test_encode_equal_numbers_match_but_not_their_string():
     ds = Dataset.from_pairs([((1,), "x"), ((1.0,), "y"), ((True,), "x"), (("1",), "y")])
     assert encode(ds, ("1",))[0].tolist() == [1, 1, 1, 0]

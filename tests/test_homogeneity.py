@@ -35,9 +35,9 @@ from analogical import (
     to_analogical_set,
     two_step_distribution,
 )
-from analogical import homogeneity
+from analogical import gates, homogeneity
 from analogical.core import encode
-from analogical.homogeneity import _pointer_sums
+from analogical.homogeneity import _ExplainLattice, _pointer_sums
 from helpers import (
     EXPECTED_COUNTS,
     EXPECTED_HOMOGENEOUS,
@@ -391,7 +391,7 @@ def test_two_step_on_an_all_heterogeneous_record_raises(worked):
     record = analogical_set(ds, given).verdicts
     flags = np.zeros_like(record.homogeneous)
     none = AnalogicalSet(
-        verdicts=homogeneity._LatticeVerdicts(ds, record.d, flags, record.k),
+        verdicts=homogeneity._LatticeVerdicts(ds, record.d, lambda: (flags, record.k)),
         outcome_counts={o: 0 for o in ds.outcome_order},
         total_pointers=0,
     )
@@ -440,6 +440,84 @@ def test_narrow_zeta_matches_int64_yates(seed):
         assert v.homogeneous == bool(homogeneous[(1 << n) - 1 - bits_to_int(v.mask)])
 
 
+# --- the lattice record on first read -------------------------------------------
+
+def _record_instance(n: int, m: int = 24):
+    rng = random.Random(f"record:{n}:{m}")
+    pairs = [(tuple(rng.choice("ab") for _ in range(n)), rng.choice("xyz")) for _ in range(m)]
+    return Dataset.from_pairs(pairs), tuple(rng.choice("ab") for _ in range(n))
+
+
+def _refuse(*args):
+    raise AssertionError("the mask-order record was built")
+
+
+# n=5 sums its 2^5 pointer products in one chunk; n=15 its 2^15 in two chunks of 2^14
+@pytest.mark.parametrize("n", [5, 15])
+def test_predict_builds_no_record(n, monkeypatch):
+    monkeypatch.setattr(homogeneity, "_mask_order", _refuse)
+    monkeypatch.setattr(gates, "_lattice_arrays", _refuse)
+    ds, given = _record_instance(n)
+    for engine in ("fast", "gates") if n <= 6 else ("fast",):
+        aset = ENGINES[engine](ds, given)
+        assert predict_distribution(aset).probabilities
+        assert aset.verdicts.d is not None and len(aset.verdicts) == 1 << n
+
+
+RECORD_READS = {
+    "two-step": lambda ds, given, aset: two_step_distribution(aset),
+    "explain": lambda ds, given, aset: list(_ExplainLattice(ds, given, aset.verdicts)),
+    "index": lambda ds, given, aset: aset.verdicts[3],
+}
+
+
+@pytest.mark.parametrize("read", RECORD_READS)
+@pytest.mark.parametrize("engine, n", [("fast", 5), ("fast", 15), ("gates", 5)])
+def test_first_read_builds_the_record_once(engine, n, read, monkeypatch):
+    builds = []
+
+    def counting(build):
+        def wrapper(*args):
+            builds.append(build)
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(homogeneity, "_mask_order", counting(homogeneity._mask_order))
+    monkeypatch.setattr(gates, "_lattice_arrays", counting(gates._lattice_arrays))
+    ds, given = _record_instance(n)
+    aset = ENGINES[engine](ds, given)
+    assert not builds
+    RECORD_READS[read](ds, given, aset)
+    assert len(builds) == 1
+    _, _, homogeneous, k = int64_yates(ds, given)
+    assert np.array_equal(aset.verdicts.homogeneous, homogeneous[::-1])
+    assert np.array_equal(aset.verdicts.k, k[::-1])
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("engine", ["fast", "gates"])
+def test_record_pickles_before_and_after_first_read(engine):
+    ds, given = _record_instance(5)
+    unread, read = (ENGINES[engine](ds, given).verdicts for _ in range(2))
+    assert read[0].mask == (1,) * 5
+    clones = [pickle.loads(pickle.dumps(record)) for record in (unread, read)]
+    for clone in clones:
+        assert clone == read == unread
+        assert np.array_equal(clone.homogeneous, read.homogeneous)
+        assert np.array_equal(clone.k, read.k)
+
+
+@pytest.mark.parametrize("m", [255, 256, 65535, 65536])
+def test_identical_exemplars_do_not_wrap_at_chunk_edges(m):
+    # 2^17 entries sum in two chunks of 2^16: a chunk totals m^2 * 2^16, just
+    # under 2^32 at m = 255 and exactly 2^32 at m = 256, where a uint32 sum wraps
+    n = 17
+    ds = Dataset.from_pairs([(("a",) * n, "x")] * m)
+    aset = analogical_set(ds, ("a",) * n)
+    assert aset.total_pointers == m * m << n
+    assert aset.outcome_counts == {"x": m * m << n}
+
+
 @pytest.mark.parametrize("m", [255, 256, 65535, 65536])
 def test_identical_exemplars_fill_the_row_type(m):
     # every mask holds all m exemplars: k(c) = m, one past the uint8/uint16 maximum at 256/65536
@@ -462,11 +540,12 @@ def test_lattice_memory_stays_narrow():
     analogical_set(ds, given)  # the dataset's codes are built once, on the first call
     tracemalloc.start()
     try:
-        analogical_set(ds, given)
+        predict_distribution(analogical_set(ds, given))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    # the passes hold 4 rows of 2^16 bytes and their transposed copy: 512 KiB
+    assert peak < 564 << 10
 
 
 def test_pointer_sums_exact_past_int64():
