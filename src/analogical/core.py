@@ -215,16 +215,18 @@ def serialize_dataset(ds: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_dataset(path) -> Dataset:
-    # utf-8-sig drops a leading byte-order mark, which would join the first label
+def _read_text(path, error: type[ValueError]) -> str:
+    """The file's text; bytes that are not UTF-8 raise ``error``, saying where."""
+    # utf-8-sig drops a leading byte-order mark, which would join the first token (a dataset's first label)
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
-            text = fh.read()
+            return fh.read()
         except UnicodeDecodeError as exc:
-            raise DatasetFormatError(
-                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-            ) from None
-    return parse_dataset(text)
+            raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def load_dataset(path) -> Dataset:
+    return parse_dataset(_read_text(path, DatasetFormatError))
 
 
 def worked_example_text() -> str:

@@ -31,7 +31,6 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations, product
 from math import lcm
-from numbers import Rational
 
 import numpy as np
 
@@ -48,6 +47,7 @@ from .core import (
     mask_at,
     mask_ints,
 )
+from .uncertainty import InvalidDistributionError, _validated
 
 
 class NoAnalogicalSupportError(Exception):
@@ -107,25 +107,15 @@ class AnalogicalSet:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Exact rational outcome probabilities summing to 1."""
+    """Outcome probabilities summing to 1, exact rationals from both engines.
+
+    Checked by the measures' one rule: exact input exactly, floats within 1e-12.
+    """
 
     probabilities: dict[str, Fraction]
 
     def __post_init__(self) -> None:
-        probs = self.probabilities
-        if not probs:
-            raise ValueError("empty distribution")
-        if all(isinstance(p, Rational) for p in probs.values()):
-            # in integers over the lcm of the denominators: none negative, and summing to it
-            common = lcm(*(p.denominator for p in probs.values()))
-            scaled = [p.numerator * (common // p.denominator) for p in probs.values()]
-            if min(scaled) >= 0 and sum(scaled) == common:
-                return
-        for label, p in probs.items():
-            if not 0 <= p <= 1:
-                raise ValueError(f"probability for {label!r} out of range: {p}")
-        if sum(probs.values()) != 1:
-            raise ValueError(f"probabilities sum to {sum(probs.values())}, not 1")
+        _validated(self.probabilities)
 
 
 def pointer_heterogeneity_matrix(ds: Dataset, given: Sequence[str]) -> np.ndarray:
@@ -142,13 +132,13 @@ def pointer_heterogeneity_matrix(ds: Dataset, given: Sequence[str]) -> np.ndarra
 def is_homogeneous_pointer(ds: Dataset, given: Sequence[str], mask: Sequence[int]) -> bool:
     """Homogeneous iff no member pair has a heterogeneous pointer.
 
-    Scans the pointer heterogeneity matrix over the members; empty and
-    singleton supracontexts are homogeneous.  This scan may stop at the
-    first heterogeneous pointer (the gate engine may not).
+    A pointer is heterogeneous when its two members lie in different
+    subcontexts and carry different outcomes; empty and singleton
+    supracontexts are homogeneous.  This scan may stop at the first
+    heterogeneous pointer (the gate engine may not).
     """
-    members = contained_exemplars(ds, given, mask)
-    p2 = pointer_heterogeneity_matrix(ds, given)
-    return not any(p2[j - 1, jp - 1] for j, jp in combinations(members, 2))
+    members = zip(*_member_summary(ds, given, mask))
+    return not any(k1 != k2 and o1 != o2 for (k1, o1), (k2, o2) in combinations(members, 2))
 
 
 def is_homogeneous_plurality(ds: Dataset, given: Sequence[str], mask: Sequence[int]) -> bool:
@@ -351,7 +341,8 @@ class _LatticeVerdicts(Sequence):
         by_first = np.argsort(first)
         sub = np.argsort(by_first)[sub]
         n_so = np.zeros((len(vectors), len(self.ds.outcome_order)), np.intp)
-        np.add.at(n_so, (sub, self.ds._codes.outcomes), 1)
+        # one flat index and a value of n_so's type keep numpy's fast path, as in analogical_set
+        np.add.at(n_so.reshape(-1), sub * n_so.shape[1] + self.ds._codes.outcomes, np.intp(1))
         # vectors in the masks' own narrow type, so an AND makes no wider array
         return vectors[by_first].astype(np.min_scalar_type(len(self) - 1)), sub, n_so
 
@@ -478,10 +469,14 @@ def sample_outcome(dist: OutcomeDistribution, seed: int) -> str:
     The probabilities are brought to a common denominator, one of that many
     equally likely pointer slots is drawn from a Mersenne Twister generator
     seeded with ``seed``, and the slot is mapped back through the cumulative
-    counts in the distribution's own label order.
+    counts in the distribution's own label order.  Probabilities that are
+    not exact raise ``InvalidDistributionError``.
     """
     probs = dist.probabilities
-    denom = lcm(*(p.denominator for p in probs.values()))
+    try:
+        denom = lcm(*(p.denominator for p in probs.values()))
+    except AttributeError:
+        raise InvalidDistributionError("a draw needs exact probabilities (int or Fraction)") from None
     draw = random.Random(seed).randrange(denom)
     cumulative = 0
     for label, p in probs.items():

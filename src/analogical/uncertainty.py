@@ -23,6 +23,8 @@ from numbers import Rational
 
 import numpy as np
 
+from .core import _read_text
+
 _SUM_TOL = 1e-12
 
 
@@ -31,15 +33,21 @@ class InvalidDistributionError(ValueError):
 
 
 def _validated(probabilities: dict) -> dict:
-    """Check that every p lies in [0, 1] and that they sum to 1.
+    """The one rule for a distribution, here and in ``OutcomeDistribution``: each p in [0, 1], summing to 1.
 
-    Exact inputs (all Fraction or int) are checked exactly; any float input
-    allows ``_SUM_TOL`` of rounding.  No value is converted to float before
-    it has passed, so huge exact values cannot overflow.
+    Exact inputs (all Fraction or int) are checked exactly, in integers first;
+    float input allows ``_SUM_TOL`` (1e-12) of rounding.  No value is converted
+    to float before it has passed, so huge exact values cannot overflow.
     """
     if not probabilities:
         raise InvalidDistributionError("distribution has no outcomes")
     exact = all(isinstance(p, Rational) for p in probabilities.values())
+    if exact:
+        # in integers over the lcm of the denominators: none negative, and summing to it
+        common = math.lcm(*(p.denominator for p in probabilities.values()))
+        scaled = [p.numerator * (common // p.denominator) for p in probabilities.values()]
+        if min(scaled) >= 0 and sum(scaled) == common:
+            return probabilities
     tolerance = 0 if exact else _SUM_TOL
     for label, p in probabilities.items():
         if not 0 <= p <= 1 + tolerance:
@@ -128,27 +136,21 @@ def read_density_file(path) -> TabulatedDensity:
     """
     grid = []
     values = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
+    # text mode folds \r\n and \r into \n; splitlines() would also split on \x0c, \x85 and others
+    for lineno, raw in enumerate(_read_text(path, InvalidDistributionError).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
             raise InvalidDistributionError(
-                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+                f"line {lineno}: expected two columns, got {len(parts)}"
+            )
+        try:
+            grid.append(float(parts[0]))
+            values.append(float(parts[1]))
+        except ValueError:
+            raise InvalidDistributionError(
+                f"line {lineno}: could not parse {line!r} as two numbers"
             ) from None
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise InvalidDistributionError(
-                    f"line {lineno}: expected two columns, got {len(parts)}"
-                )
-            try:
-                grid.append(float(parts[0]))
-                values.append(float(parts[1]))
-            except ValueError:
-                raise InvalidDistributionError(
-                    f"line {lineno}: could not parse {line!r} as two numbers"
-                ) from None
     return TabulatedDensity(np.array(grid), np.array(values))

@@ -17,6 +17,7 @@ from analogical import (
     Dataset,
     DatasetFormatError,
     Exemplar,
+    InvalidDistributionError,
     LatticeSizeError,
     analogical_set,
     bits_to_int,
@@ -32,6 +33,7 @@ from analogical import (
     parse_dataset,
     pointer_heterogeneity_matrix,
     predict_distribution,
+    read_density_file,
     run_qam_circuit,
     serialize_dataset,
     str_to_bits,
@@ -161,6 +163,18 @@ def test_load_dataset_ignores_byte_order_mark(tmp_path):
     ds = load_dataset(bom)
     assert ds == load_dataset(plain)
     assert ds.outcome_order == ("x", "y")
+
+
+@pytest.mark.parametrize("lead", [b"", b"0 1\n" * 3000], ids=["short", "past-a-read-chunk"])
+def test_text_readers_word_bad_bytes_alike(tmp_path, lead):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(lead + b"0 1\n\xff 1\n")
+    said = f"{path}: not UTF-8 text (invalid start byte at byte {len(lead) + 4})"
+    with pytest.raises(DatasetFormatError) as dataset_error:
+        load_dataset(path)
+    with pytest.raises(InvalidDistributionError) as density_error:
+        read_density_file(path)
+    assert str(dataset_error.value) == str(density_error.value) == said
 
 
 # --- difference vectors and containment --------------------------------------

@@ -15,6 +15,7 @@ from analogical import (
     AnalogicalSet,
     Dataset,
     GateTrace,
+    InvalidDistributionError,
     NoAnalogicalSupportError,
     OutcomeDistribution,
     analogical_set,
@@ -35,7 +36,7 @@ from analogical import (
     to_analogical_set,
     two_step_distribution,
 )
-from analogical import gates, homogeneity
+from analogical import core, gates, homogeneity
 from analogical.core import encode
 from analogical.homogeneity import _ExplainLattice, _pointer_sums
 from helpers import (
@@ -186,6 +187,25 @@ def test_heterogeneity_injection():
             assert not crit(broken, given, zero_mask)
         flipped += 1
     assert flipped > 50
+
+
+def test_oracles_read_no_encoding(worked, monkeypatch):
+    # the per-mask oracles are what encode's fast path is tested against, so none may call it
+    ds, given = random_instance(random.Random(5))
+    expected = [brute_force_disagreement_verdict(ds, given, mask) for mask in iter_masks(ds.n)]
+    assert set(expected) == {True, False}
+
+    def refuse(*args):
+        raise AssertionError("an oracle called encode")
+
+    monkeypatch.setattr(core, "encode", refuse)
+    monkeypatch.setattr(homogeneity, "encode", refuse)
+    for mask in iter_masks(worked[0].n):
+        for crit in ALL_CRITERIA:
+            assert crit(*worked, mask) == EXPECTED_HOMOGENEOUS[bits_to_str(mask)], crit.__name__
+    for mask, want in zip(iter_masks(ds.n), expected):
+        for crit in ALL_CRITERIA:
+            assert crit(ds, given, mask) == want, (bits_to_str(mask), crit.__name__)
 
 
 # --- random agreement properties ----------------------------------------------
@@ -565,13 +585,13 @@ def test_pointer_sums_exact_past_int64():
 # --- distribution mechanics -----------------------------------------------------
 
 def test_distribution_validation():
-    with pytest.raises(ValueError, match=r"^empty distribution$"):
+    with pytest.raises(ValueError, match=r"^distribution has no outcomes$"):
         OutcomeDistribution({})
-    with pytest.raises(ValueError, match=r"^probabilities sum to 1/2, not 1$"):
+    with pytest.raises(ValueError, match=r"^probabilities sum to less than 1$"):
         OutcomeDistribution({"x": Fraction(1, 2)})
-    with pytest.raises(ValueError, match=r"^probability for 'x' out of range: 3/2$"):
+    with pytest.raises(ValueError, match=r"^probability for 'x' is outside \[0, 1\]$"):
         OutcomeDistribution({"x": Fraction(3, 2), "y": Fraction(-1, 2)})
-    # input that is not rational keeps the same checks
+    # float input is checked too, allowing 1e-12 of rounding in its sum
     with pytest.raises(ValueError, match=r"^probabilities sum to 0\.75, not 1$"):
         OutcomeDistribution({"x": 0.5, "y": 0.25})
     OutcomeDistribution({"x": 0.5, "y": 0.5})
@@ -585,7 +605,7 @@ def test_distribution_check_is_exact():
         OutcomeDistribution({"x": Fraction(1, 3), "y": Fraction(2, 3) - eps})
     with pytest.raises(ValueError, match=r"^probabilities sum to "):
         OutcomeDistribution({"x": Fraction(1, 3) + eps, "y": Fraction(2, 3)})
-    with pytest.raises(ValueError, match=r"^probability for 'x' out of range: "):
+    with pytest.raises(ValueError, match=r"^probability for 'x' is outside \[0, 1\]$"):
         OutcomeDistribution({"x": 1 + eps, "y": -eps})
 
 
@@ -610,6 +630,12 @@ def test_sampling_deterministic_and_supported(worked):
     assert all(sample_outcome(dist, 424242) == first for _ in range(5))
     point = OutcomeDistribution({"only": Fraction(1)})
     assert sample_outcome(point, 0) == "only"
+
+
+def test_sampling_refuses_probabilities_that_are_not_exact():
+    dist = OutcomeDistribution({"a": 0.5, "b": 0.5})
+    with pytest.raises(InvalidDistributionError, match=r"^a draw needs exact probabilities"):
+        sample_outcome(dist, 1)
 
 
 def test_sampling_exact_small_distribution():

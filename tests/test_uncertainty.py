@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from analogical import (
     InvalidDistributionError,
+    OutcomeDistribution,
     TabulatedDensity,
     agreement,
     agreement_density,
@@ -19,6 +20,51 @@ from analogical import (
     entropy,
     read_density_file,
 )
+
+
+EPS = Fraction(1, 10**30)
+
+
+@pytest.mark.parametrize(
+    "probabilities, valid",
+    [
+        ({}, False),
+        ({"a": Fraction(-1, 4), "b": Fraction(5, 4)}, False),
+        ({"a": -0.25, "b": 1.25}, False),
+        ({"a": Fraction(1, 2), "b": Fraction(3, 2)}, False),
+        ({"a": 0.5, "b": 1.5}, False),
+        ({"a": Fraction(1, 3) + EPS, "b": Fraction(2, 3)}, False),
+        ({"a": Fraction(1, 3) - EPS, "b": Fraction(2, 3)}, False),
+        ({"a": Fraction(1, 3) + EPS, "b": Fraction(2, 3) - EPS}, True),
+        ({"a": 0.7, "b": 0.2, "c": 0.1}, True),
+        ({"c": 0.1, "b": 0.2, "a": 0.7}, True),
+        ({"a": 0.25 + 1e-13, "b": 0.75}, True),
+        ({"b": 0.75, "a": 0.25 + 1e-13}, True),
+        ({"a": 0.25 - 1e-13, "b": 0.75}, True),
+        ({"b": 0.75, "a": 0.25 - 1e-13}, True),
+        ({"a": 0.25 + 1e-9, "b": 0.75}, False),
+        ({"a": 0.25 - 1e-9, "b": 0.75}, False),
+    ],
+    ids=[
+        "empty", "negative", "negative-float", "over-1", "over-1-float",
+        "exact-sum-over", "exact-sum-under", "exact-sum-1", "0.7-0.2-0.1", "0.1-0.2-0.7",
+        "float-over", "float-over-reversed", "float-under", "float-under-reversed",
+        "float-over-1e-9", "float-under-1e-9",
+    ],
+)
+def test_one_rule_for_a_distribution(probabilities, valid):
+    # OutcomeDistribution and the measures accept the same inputs and refuse the rest alike
+    def refusal(check):
+        try:
+            check(probabilities)
+        except InvalidDistributionError as exc:
+            return str(exc)
+        return None
+
+    said = refusal(OutcomeDistribution)
+    assert (said is None) == valid, said
+    for measure in (entropy, disagreement, agreement):
+        assert refusal(measure) == said, measure.__name__
 
 
 def test_entropy_known_values():
