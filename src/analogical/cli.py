@@ -86,11 +86,14 @@ def _load(args: argparse.Namespace) -> tuple[Dataset, FeatureVector]:
     return ds, given
 
 
-def _build_set(args: argparse.Namespace, ds: Dataset, given: FeatureVector) -> AnalogicalSet:
+def _predict(args: argparse.Namespace) -> tuple[Dataset, FeatureVector, AnalogicalSet, OutcomeDistribution]:
+    """The dataset, the given context, the chosen engine's analogical set and its distribution."""
+    ds, given = _load(args)
     if args.engine == "gates":
-        run = run_qam_circuit(ds, given, n_cap=args.n_cap)
-        return to_analogical_set(run, ds)
-    return analogical_set(ds, given, n_cap=args.n_cap)
+        aset = to_analogical_set(run_qam_circuit(ds, given, n_cap=args.n_cap), ds)
+    else:
+        aset = analogical_set(ds, given, n_cap=args.n_cap)
+    return ds, given, aset, predict_distribution(aset)
 
 
 # --- JSON writer ------------------------------------------------------------
@@ -135,8 +138,14 @@ def _counts_line(aset: AnalogicalSet) -> str:
     return "pointers: " + ", ".join(f"{o} {c}" for o, c in aset.outcome_counts.items())
 
 
-def _probabilities_json(dist: OutcomeDistribution) -> dict[str, str]:
-    return {o: str(p) for o, p in dist.probabilities.items()}
+def _prediction_json(aset: AnalogicalSet, dist: OutcomeDistribution) -> dict:
+    """The prediction's keys of the predict and explain JSON reports."""
+    return {
+        "total_pointers": aset.total_pointers,
+        "pointer_counts": dict(aset.outcome_counts),
+        "probabilities": {o: str(p) for o, p in dist.probabilities.items()},
+        "most_likely": most_likely_outcome(dist),
+    }
 
 
 @cache
@@ -163,19 +172,14 @@ def _matrix(matrix: np.ndarray, nl: str | None = None) -> str:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    ds, given = _load(args)
-    aset = _build_set(args, ds, given)
-    dist = predict_distribution(aset)
+    _, given, aset, dist = _predict(args)
     if args.format == "json":
         _emit_json(
             {
                 "schema_version": 1,
                 "command": "predict",
                 "given": list(given),
-                "total_pointers": aset.total_pointers,
-                "pointer_counts": dict(aset.outcome_counts),
-                "probabilities": _probabilities_json(dist),
-                "most_likely": most_likely_outcome(dist),
+                **_prediction_json(aset, dist),
             }
         )
     else:
@@ -283,9 +287,7 @@ def _explain_json(lattice: _ExplainLattice, ds: Dataset) -> Iterator[str]:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    ds, given = _load(args)
-    aset = _build_set(args, ds, given)
-    dist = predict_distribution(aset)
+    ds, given, aset, dist = _predict(args)
     lattice = _ExplainLattice(ds, given, aset.verdicts)
 
     if args.format == "json":
@@ -295,10 +297,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 "command": "explain",
                 "given": list(given),
                 "masks": None,
-                "total_pointers": aset.total_pointers,
-                "pointer_counts": dict(aset.outcome_counts),
-                "probabilities": _probabilities_json(dist),
-                "most_likely": most_likely_outcome(dist),
+                **_prediction_json(aset, dist),
             },
             masks=_streamed(_explain_json(lattice, ds)),
         )
@@ -370,10 +369,7 @@ def cmd_gates(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    ds, given = _load(args)
-    aset = _build_set(args, ds, given)
-    dist = predict_distribution(aset)
-    outcome = sample_outcome(dist, args.seed)
+    outcome = sample_outcome(_predict(args)[3], args.seed)
     if args.format == "json":
         _emit_json(
             {
@@ -418,9 +414,7 @@ def cmd_measures(args: argparse.Namespace) -> int:
     if args.pairs:
         probs = _parse_inline_distribution(args.pairs)
     elif args.dataset:
-        ds, given = _load(args)
-        aset = _build_set(args, ds, given)
-        probs = dict(predict_distribution(aset).probabilities)
+        probs = dict(_predict(args)[3].probabilities)
     elif args.density is None:
         raise InvalidDistributionError(
             "no distribution given: pass label:prob pairs, --dataset/--given, or --density"

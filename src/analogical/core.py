@@ -217,12 +217,13 @@ def serialize_dataset(ds: Dataset) -> str:
 
 def _read_text(path, error: type[ValueError]) -> str:
     """The file's text; bytes that are not UTF-8 raise ``error``, saying where."""
-    # utf-8-sig drops a leading byte-order mark, which would join the first token (a dataset's first label)
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            return fh.read()
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    # a leading byte-order mark would join the first token; utf-8-sig drops it but counts offsets after it
+    return text.removeprefix("\ufeff")
 
 
 def load_dataset(path) -> Dataset:

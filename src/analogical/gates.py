@@ -86,13 +86,14 @@ array loops record, from their target's blocks before and after, one gate
 per entry in the serial loop's order.  A window's registers take the names
 of its first item's, and a word cut from a register records that
 register's indices, so every recorded step is the one the serial circuit
-applies.  From the step that truncates the trace on, gates only add to
-``trace.tally``: the rest of the running comparator or array loop in one
-step per op, and the items left in one window as an untraced run would
-run them, each gate once per item.  Every run takes all masks in one
-window, tallied once per mask left, after the masks that ran alone, in
-:func:`iter_masks` order, while the trace recorded; each of those must
-read the same in its lane.  Results do not depend on the lane width.
+applies.  Each comparator and array loop adds its own gates to
+``trace.tally`` per op, recorded or not; :meth:`GateTrace.record` only
+stores steps.  From the step that truncates the trace on, the items left
+run in one window as an untraced run would, each gate tallied once per
+item.  Every run takes all masks in one window, tallied once per mask
+left, after the masks that ran alone, in :func:`iter_masks` order, while
+the trace recorded; each of those must read the same in its lane.
+Results do not depend on the lane width.
 
 Matrix registers are kept flat in row-major order: entry (j, j') of an
 m x m array lives at position k = (j - 1) * m + j', with j, j' and k
@@ -144,8 +145,8 @@ class GateTrace:
     :meth:`replay_inverse` applies the steps in reverse order (every
     primitive is its own inverse) and restores the initial state.  Capture
     is bounded by ``max_steps``; a truncated trace refuses to replay.
-    ``tally`` counts every applied primitive by op and keeps counting past
-    ``max_steps``, so it always holds the full gate count of the run.
+    ``tally`` counts every applied primitive by op, past ``max_steps`` too:
+    the gate loops add to it, and :meth:`record` only stores a step.
     """
 
     def __init__(self, max_steps: int = 200_000):
@@ -161,7 +162,6 @@ class GateTrace:
             self.initial[name] = tuple(bits)
 
     def record(self, op: str, operands: tuple[tuple[str, int], ...], before: int, after: int) -> None:
-        self.tally[op] += 1
         if len(self.steps) >= self.max_steps:
             self.truncated = True
             return
@@ -226,9 +226,8 @@ def _comparator_apply(
     seed slot holds the ancilla and is never written.  While ``trace``
     records, each gate goes to it as it is applied, operands named by
     ``names`` (the registers of u, v and the flag, and the flag's index) and
-    by fresh scratch and chain registers.  Every gate it does not record,
-    from a cut on or all of them for a trace truncated already, is added to
-    its tally at the end, once per item of the window.
+    by fresh scratch and chain registers.  Every gate, recorded or not, is
+    added to the trace's tally at the end, once per item of the window.
     """
     n = len(u)
     if len(v) != n:
@@ -238,8 +237,6 @@ def _comparator_apply(
     xor = mode == "xor"
     un, vn, fn, fi = names
     live = _recording(trace)
-    if trace is not None:
-        seen = dict(trace.tally)
     if live:
         sn, cn = f"cmp{uid}.scratch", f"cmp{uid}.chain"
         for name, bits in ((un, u), (vn, v), (fn, (flag,)), (sn, s), (cn, c)):
@@ -286,8 +283,8 @@ def _comparator_apply(
     if trace is not None:
         per_gate = getattr(trace, "per_gate", 1)
         totals = {"cnot": 4 * n + 1, "not": 2 * n, "ccnot": 2 * n} if xor else {"ccnot": 4 * n, "not": 2 * n, "cnot": 1}
-        for op, total in totals.items():  # less what record() tallied
-            trace.tally[op] += total * per_gate - (trace.tally[op] - seen.get(op, 0))
+        for op, total in totals.items():
+            trace.tally[op] += total * per_gate
     return flag, c[0]
 
 
@@ -382,7 +379,7 @@ class _LaneTally:
     """Stands in for a truncated trace while the items left of a step run as lanes.
 
     Every item runs the same gates, so one gate on the lane words is one gate
-    per item: the steps add each gate to the trace's tally ``per_gate`` times.
+    per item: the gate loops add each gate to the trace's tally ``per_gate`` times.
     """
 
     truncated = True
@@ -442,19 +439,18 @@ def _xor_gates(op: str, operands, rows: np.ndarray, flip: np.ndarray, entries: S
     containment-scan window, whose ``entries`` is then its first entry.  A
     recording trace takes the gates in order, ``operands(k)`` naming entry
     k's controls and target, with the target block's lane word before and
-    after; the gates from its cut on, and all of them for a truncated trace
-    or a :class:`_LaneTally` for every item, go to its tally in one step.
+    after, until it is truncated.  Every gate goes to the trace's tally in
+    one step, once per item for a :class:`_LaneTally`.
     """
+    if trace is not None:
+        trace.tally[op] += len(entries) * getattr(trace, "per_gate", 1)
     if not _recording(trace):
         rows ^= flip
-        if trace is not None:
-            trace.tally[op] += len(entries) * getattr(trace, "per_gate", 1)
         return
     before = _block_words(rows)
     rows ^= flip
-    for i, (k, b, a) in enumerate(zip(entries, before, _block_words(rows))):
+    for k, b, a in zip(entries, before, _block_words(rows)):
         if trace.truncated:
-            trace.tally[op] += len(entries) - i
             return
         trace.record(op, operands(k), b, a)
 

@@ -125,7 +125,7 @@ def test_serialize_rejects_unrepresentable():
 
 
 def test_serialize_rejects_leading_byte_order_mark(tmp_path):
-    # load_dataset reads utf-8-sig, so a first outcome's leading U+FEFF would be lost
+    # load_dataset drops a leading byte-order mark, so a first outcome's leading U+FEFF would be lost
     ds = Dataset.from_pairs([(("a",), "\ufeffx"), (("b",), "y")])
     with pytest.raises(ValueError, match=r"'\\ufeffx'"):
         serialize_dataset(ds)
@@ -165,7 +165,9 @@ def test_load_dataset_ignores_byte_order_mark(tmp_path):
     assert ds.outcome_order == ("x", "y")
 
 
-@pytest.mark.parametrize("lead", [b"", b"0 1\n" * 3000], ids=["short", "past-a-read-chunk"])
+@pytest.mark.parametrize(
+    "lead", [b"", b"0 1\n" * 3000, codecs.BOM_UTF8], ids=["short", "past-a-read-chunk", "byte-order-mark"]
+)
 def test_text_readers_word_bad_bytes_alike(tmp_path, lead):
     path = tmp_path / "bad.txt"
     path.write_bytes(lead + b"0 1\n\xff 1\n")

@@ -334,6 +334,35 @@ def test_composite_traces_cover_scratch():
         assert all(b == 0 for b in body)
 
 
+_C2_010 = pair_block(6, EXPECTED_MEMBERS["010"])
+_H_010 = 1 - EXPECTED_H2_010  # the negated H2 that the sweep reads, four entries 0
+_F_010 = gate_ones(_H_010)[1]
+
+# each public builder on the worked example's mask 010: its call with a trace, the
+# name of its output register, and that register's bits read off what the call returns
+_BUILDERS = {
+    "containment": (lambda t: build_containment_array(*load_worked_example(), (0, 1, 0), trace=t), "C2", None),
+    "heterogeneity": (lambda t: build_heterogeneity_array(_C2_010, EXPECTED_P2, trace=t), "H2", None),
+    "ones": (lambda t: gate_ones(_H_010, trace=t), "F", lambda out: np.append(1, out[1])),
+    "ones-inverse": (lambda t: gate_ones_inverse(_H_010, _F_010, trace=t), "F", lambda out: np.append(*out)),
+    "analogy": (lambda t: build_analogy_array(_C2_010, 1, trace=t), "A2", None),
+    "identity": (lambda t: gate_identity((0, 1, 1), (0, 1, 1), trace=t), "flag", lambda out: out[0]),
+}
+
+
+@pytest.mark.parametrize("builder", list(_BUILDERS))
+def test_public_builders_replay_under_a_trace(builder):
+    call, register, read = _BUILDERS[builder]
+    trace = GateTrace()
+    out = call(trace)
+    assert not trace.truncated and trace.steps
+    final = trace.replay()
+    (name,) = [name for name in final if name.endswith("." + register)]
+    assert final[name] == np.ravel(out if read is None else read(out)).tolist()
+    assert trace.replay_inverse() == {name: list(bits) for name, bits in trace.initial.items()}
+    assert trace.tally == Counter(step.op for step in trace.steps)
+
+
 def test_trace_tally_counts_every_gate(worked):
     ds, given = worked
     full = GateTrace()
@@ -591,10 +620,20 @@ def test_lanes_match_mask_by_mask():
 
 
 class _TallyTrace(GateTrace):
-    """A trace that tallies gates but stores none, so it is never truncated."""
+    """A trace that counts the gates handed to it but stores none, so it is never truncated."""
+
+    calls = 0
 
     def record(self, op, operands, before, after) -> None:
-        self.tally[op] += 1
+        self.calls += 1
+
+
+def test_a_trace_that_stores_nothing_still_tallies_every_gate(worked):
+    ds, given = worked
+    trace = _TallyTrace()
+    run_qam_circuit(ds, given, trace=trace)
+    assert trace.tally == Counter({"cnot": 1320, "not": 4896, "ccnot": 9828})
+    assert trace.calls == 16_044 and not trace.truncated
 
 
 def test_lanes_match_traced_mask_by_mask():
@@ -606,11 +645,13 @@ def test_lanes_match_traced_mask_by_mask():
 
 
 class _CutTrace(GateTrace):
-    """A trace that tallies gates but stores none, truncated after ``max_steps`` of them."""
+    """A trace that counts the gates handed to it but stores none, truncated after ``max_steps`` of them."""
+
+    calls = 0
 
     def record(self, op, operands, before, after) -> None:
-        self.tally[op] += 1
-        self.truncated = sum(self.tally.values()) >= self.max_steps
+        self.calls += 1
+        self.truncated = self.calls >= self.max_steps
 
 
 def test_rows_left_after_a_cut_in_the_scan_match_traced_mask_by_mask():

@@ -336,17 +336,21 @@ def _small_instances(draw):
 
 @pytest.mark.parametrize("engine", ["fast", "gates"])
 @settings(max_examples=150, deadline=None)
-@hgiven(_small_instances())
-def test_count_relations(engine, instance):
+@hgiven(_small_instances(), st.randoms(use_true_random=False))
+def test_count_relations(engine, instance, rng):
     # a feature every exemplar matches doubles every supracontext, one every
-    # exemplar misses adds only empty ones, and a repeated exemplar doubles every k
+    # exemplar misses adds only empty ones, and a repeated exemplar doubles every
+    # k; permuting the features, the given's with them, or the exemplars moves no pointer
     ds, given = instance
     counts = ENGINES[engine](ds, given).outcome_counts
     pairs = [(e.context, e.outcome) for e in ds.exemplars]
+    order = rng.sample(range(ds.n), ds.n)
     for new_pairs, new_given, factor in (
         ([(c + ("a",), o) for c, o in pairs], given + ("a",), 2),
         ([(c + ("b",), o) for c, o in pairs], given + ("a",), 1),
         (pairs + pairs, given, 4),
+        ([(tuple(c[i] for i in order), o) for c, o in pairs], tuple(given[i] for i in order), 1),
+        (rng.sample(pairs, len(pairs)), given, 1),
     ):
         aset = ENGINES[engine](Dataset.from_pairs(new_pairs), new_given)
         assert aset.outcome_counts == {o: factor * count for o, count in counts.items()}
